@@ -51,7 +51,6 @@ from .plant import (
 )
 from .planform import (
     Planform,
-    QuadratureSpec,
     RdfReport,
     chord_at,
     rdf_report,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import datetime
 import json
 import math
 import sys
@@ -190,7 +189,6 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summ
         "version": __version__,
         "kind": cfg.kind,
         "seed": cfg.seed,
-        "written_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "files": sorted(files + ["config.snapshot.json"]),
         "summary": summary,
     }
@@ -461,7 +459,6 @@ def _cmd_rdf(args) -> int:
         "i_head_mm5": report.i_head,
         "i_tail_mm5": report.i_tail,
         "ratio_head_over_tail": report.ratio_head_over_tail,
-        "implied_speed_ratio": report.implied_speed_ratio,
     }))
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,14 +23,10 @@ NEW_DESIGN_RDF_TAIL = 1.07e4
 OLD_DESIGN_RDF_HEAD = 1.88e4
 OLD_DESIGN_RDF_TAIL = 2.19e4
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the RDF quadrature."""
-
-    rel_tol: float = 1e-9
-    max_depth: int = 40
-    fallback_slices: int = 1_000_000
+# Adaptive Simpson controls for the RDF quadrature: per-panel relative
+# tolerance and recursion depth.
+SIMPSON_REL_TOL = 1e-9
+SIMPSON_MAX_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -38,14 +34,16 @@ class Planform:
     """Chord profile of a head or tail plate.
 
     chord_fn maps span position x (mm) to chord height (mm); the span runs
-    over [-l1, l2] with the rotation axis at x = 0.
+    over [-l1, l2] with the rotation axis at x = 0. kinks lists the x values
+    where the chord's slope jumps (the knots of a tabulated chord); the RDF
+    quadrature splits its panels there.
     """
 
     chord_fn: Callable[[float], float]
     l1: float
     l2: float
     label: str = "tail"
-    smooth: bool = field(default=True, compare=False)
+    kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.l1 < 0 or self.l2 < 0:
@@ -68,15 +66,32 @@ class Planform:
 
     @staticmethod
     def tabulated(points, l1: float, l2: float, label: str = "tail") -> "Planform":
-        """Piecewise-linear chord through (x, h) pairs."""
+        """Piecewise-linear chord through (x, h) knots that cover [-l1, l2].
+
+        Knots need distinct, finite x, finite nonnegative heights, and at
+        least two of them; any order is accepted.
+        """
         pts = sorted((float(x), float(h)) for x, h in points)
-        xs = np.array([p[0] for p in pts])
-        hs = np.array([p[1] for p in pts])
+        if len(pts) < 2:
+            raise InvalidPlanformError("a tabulated chord needs at least 2 knots")
+        if not all(math.isfinite(v) for pt in pts for v in pt):
+            raise InvalidPlanformError("knot coordinates must be finite")
+        xs = tuple(x for x, _ in pts)
+        hs = tuple(h for _, h in pts)
+        if any(x0 == x1 for x0, x1 in zip(xs, xs[1:])):
+            raise InvalidPlanformError("duplicate knot x values")
+        if min(hs) < 0:
+            raise InvalidPlanformError(f"negative knot height {min(hs):g}")
+        if xs[0] > -l1 or xs[-1] < l2:
+            raise InvalidPlanformError(
+                f"knots span [{xs[0]:g}, {xs[-1]:g}], which does not cover "
+                f"[{-l1:g}, {l2:g}]"
+            )
 
-        def h(x):
-            return float(np.interp(x, xs, hs))
+        def h(x, xa=np.array(xs), ha=np.array(hs)):
+            return float(np.interp(x, xa, ha))
 
-        return Planform(h, l1, l2, label, smooth=False)
+        return Planform(h, l1, l2, label, kinks=xs)
 
     @staticmethod
     def from_config(cfg: dict) -> "Planform":
@@ -121,11 +136,6 @@ class RdfReport:
     def ratio_head_over_tail(self) -> float:
         return self.i_head / self.i_tail
 
-    @property
-    def implied_speed_ratio(self) -> float:
-        """<w_t^2>/<w_h^2> = I_h/I_t implied by the rectilinear torque balance."""
-        return self.i_head / self.i_tail
-
 
 def chord_at(p: Planform, x: float) -> float:
     """Chord height h(x) in mm; x must lie in [-l1, l2]."""
@@ -139,8 +149,8 @@ def chord_at(p: Planform, x: float) -> float:
     return float(h)
 
 
-def _adaptive_simpson(f, a, b, rel_tol, max_depth):
-    """Adaptive composite Simpson on [a, b]."""
+def _adaptive_simpson(f, a, b):
+    """Adaptive composite Simpson on [a, b], a < b."""
 
     def simpson(fa, fm, fb, a_, b_):
         return (b_ - a_) / 6.0 * (fa + 4.0 * fm + fb)
@@ -153,32 +163,26 @@ def _adaptive_simpson(f, a, b, rel_tol, max_depth):
         right = simpson(fm, frm, fb, m, b_)
         err = left + right - whole
         scale = max(abs(left + right), 1e-300)
-        if depth <= 0 or abs(err) <= 15.0 * rel_tol * scale:
+        if depth <= 0 or abs(err) <= 15.0 * SIMPSON_REL_TOL * scale:
             return left + right + err / 15.0
         return recurse(a_, m, fa, flm, fm, left, depth - 1) + recurse(
             m, b_, fm, frm, fb, right, depth - 1
         )
 
-    if b <= a:
-        return 0.0
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    return recurse(a, b, fa, fm, fb, simpson(fa, fm, fb, a, b), max_depth)
+    return recurse(a, b, fa, fm, fb, simpson(fa, fm, fb, a, b), SIMPSON_MAX_DEPTH)
 
 
-def _midpoint(f, a, b, n):
-    if b <= a:
-        return 0.0
-    x = a + (np.arange(n) + 0.5) * (b - a) / n
-    return float(np.sum([f(xi) for xi in x]) * (b - a) / n)
-
-
-def resistive_drag_factor(p: Planform, quad: QuadratureSpec = QuadratureSpec()) -> float:
+def resistive_drag_factor(p: Planform) -> float:
     """RDF = integral of h(x)*|x|^3 dx over [-l1, l2], in mm^5.
 
-    Splits the span at x = 0 so the |x|^3 kink never lies inside a Simpson
-    panel. Non-smooth (tabulated) chords fall back to a dense midpoint rule.
+    Runs adaptive Simpson over the panels between consecutive points of
+    {-l1, 0, l2} and the chord's kinks strictly inside the span, so neither
+    the |x|^3 kink at the axis nor a chord kink lies inside a panel. On each
+    linear piece of a chord the integrand is a quartic, which Simpson with
+    its Richardson step integrates exactly.
     """
 
     def integrand(x):
@@ -187,28 +191,14 @@ def resistive_drag_factor(p: Planform, quad: QuadratureSpec = QuadratureSpec()) 
             raise DomainError(f"non-finite integrand at x={x:g}")
         return v
 
-    if p.smooth:
-        return _adaptive_simpson(integrand, -p.l1, 0.0, quad.rel_tol, quad.max_depth) + (
-            _adaptive_simpson(integrand, 0.0, p.l2, quad.rel_tol, quad.max_depth)
-        )
-    n = quad.fallback_slices
-    n_lo = max(2, int(round(n * p.l1 / (p.l1 + p.l2))))
-    n_hi = max(2, n - n_lo) if p.l2 > 0 else 0
-    total = 0.0
-    if p.l1 > 0:
-        total += _midpoint(integrand, -p.l1, 0.0, n_lo)
-    if p.l2 > 0:
-        total += _midpoint(integrand, 0.0, p.l2, n_hi)
-    return total
+    inner = (k for k in p.kinks if -p.l1 < k < p.l2)
+    edges = sorted({-p.l1, 0.0, p.l2, *inner})
+    return math.fsum(_adaptive_simpson(integrand, a, b) for a, b in zip(edges, edges[1:]))
 
 
-def rdf_report(head: Planform, tail: Planform, quad: QuadratureSpec = QuadratureSpec()) -> RdfReport:
+def rdf_report(head: Planform, tail: Planform) -> RdfReport:
     """Compute both RDFs and package the rectilinear-swimming balance ratio."""
-    i_h = resistive_drag_factor(head, quad)
-    i_t = resistive_drag_factor(tail, quad)
-    if i_h <= 0 or i_t <= 0:
-        raise InvalidPlanformError("planform produced a nonpositive RDF")
-    return RdfReport(i_head=i_h, i_tail=i_t)
+    return RdfReport(i_head=resistive_drag_factor(head), i_tail=resistive_drag_factor(tail))
 
 
 def rdf_report_from_constants(i_head_mm5: float, i_tail_mm5: float) -> RdfReport:

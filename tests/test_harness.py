@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -193,6 +194,17 @@ class TestCli:
         assert cli_main(["rdf", "--head", str(head), "--tail", str(tail)]) == 0
         assert "i_head_mm5" in capsys.readouterr().out
 
+    def test_rdf_bad_tabulated_knots_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        ok = tmp_path / "ok.json"
+        bad.write_text(json.dumps(
+            {"kind": "tabulated", "points": [[0, 5], [5, 5], [5, 1], [10, 1]],
+             "l1_mm": 0.0, "l2_mm": 10.0}))
+        ok.write_text(json.dumps(
+            {"kind": "rectangle", "height_mm": 10.0, "l1_mm": 5.0, "l2_mm": 5.0}))
+        assert cli_main(["rdf", "--head", str(bad), "--tail", str(ok)]) == 1
+        assert "duplicate knot" in capsys.readouterr().err
+
     def test_rdf_missing_args(self, capsys):
         assert cli_main(["rdf"]) == 1
 
@@ -233,3 +245,26 @@ class TestCli:
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "missing.ini"), "cycle"]) == 1
+
+
+def tree_digests(root: Path) -> dict:
+    return {
+        str(f.relative_to(root)): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(root.rglob("*")) if f.is_file()
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "excursion"],
+    ["sweep", "speed"],
+    ["sweep", "turn"],
+    ["cycle"],
+    ["track", "line", "--duration", "3", "--noise-sigma", "0.0001"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_rerun_output_directories_identical(tmp_path, capsys, argv):
+    # every file a run writes, manifest included, is a function of (config, seed)
+    for d in ("a", "b"):
+        assert cli_main(["--out", str(tmp_path / d), "--seed", "7", *argv]) == 0
+    a, b = tree_digests(tmp_path / "a"), tree_digests(tmp_path / "b")
+    assert "manifest.json" in a
+    assert a == b
