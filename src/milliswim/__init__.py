@@ -4,12 +4,10 @@ __version__ = "0.1.0"
 
 from .actuator import (
     ExcitationCommand,
-    ExcursionTable,
     Mode,
     average_power,
     classify_mode,
     default_excursion_table,
-    excursion,
     waveform_sample,
 )
 from .control import (

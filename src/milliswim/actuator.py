@@ -8,8 +8,8 @@ drive, split evenly between the two supplies.
 
 from __future__ import annotations
 
-import csv
 import enum
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -54,8 +54,6 @@ def waveform_sample(cmd: ExcitationCommand, t: float) -> tuple[float, float]:
     The left on-window starts at each period boundary; the right one starts
     half a period later (180 degree phase shift).
     """
-    import math
-
     phase = math.fmod(t * cmd.freq, 1.0)
     left = cmd.on_height if phase < cmd.dc_left else 0.0
     phase_r = (phase + 0.5) % 1.0
@@ -84,44 +82,11 @@ def average_power(cmd: ExcitationCommand) -> float:
     return 0.5 * POWER_FIT_W_PER_DC * (cmd.dc_left + cmd.dc_right)
 
 
-class ExcursionTable(BilinearTable):
-    """(freq, dc) -> peak-to-peak tail excursion A_pp in mm, with per-point ESD."""
-
-    @classmethod
-    def from_csv(cls, path) -> "ExcursionTable":
-        """Load from a calibration CSV with columns
-        freq_hz, dc_pu, app_mm, esd_mm, provenance."""
-        rows = []
-        with open(path, newline="") as f:
-            for rec in csv.DictReader(f):
-                rows.append(
-                    (float(rec["freq_hz"]), float(rec["dc_pu"]), float(rec["app_mm"]),
-                     float(rec["esd_mm"]), rec["provenance"])
-                )
-        freqs = sorted({r[0] for r in rows})
-        dcs = sorted({r[1] for r in rows})
-        app = np.full((len(freqs), len(dcs)), np.nan)
-        esd = np.zeros_like(app)
-        prov = np.full(app.shape, "digitized", dtype=object)
-        fi = {f: i for i, f in enumerate(freqs)}
-        di = {d: j for j, d in enumerate(dcs)}
-        for f_, d_, a_, e_, p_ in rows:
-            app[fi[f_], di[d_]] = a_
-            esd[fi[f_], di[d_]] = e_
-            prov[fi[f_], di[d_]] = p_
-        if np.any(np.isnan(app)):
-            raise ValueError(f"excursion grid in {path} is not rectangular")
-        if np.any(app < 0):
-            raise ValueError("excursions must be nonnegative")
-        return cls(freqs, dcs, app, aux=esd, provenance=prov)
-
-
-def excursion(table: ExcursionTable, freq: float, dc: float) -> float:
-    """Interpolated peak-to-peak excursion A_pp in mm; exact at grid nodes."""
-    return table(freq, dc)
-
-
-def default_excursion_table() -> ExcursionTable:
-    """Excursion calibration shipped with the package."""
+def default_excursion_table() -> BilinearTable:
+    """(freq, dc) -> peak-to-peak tail excursion A_pp in mm, with per-point ESD
+    as the auxiliary grid, from the calibration shipped with the package."""
     with resources.as_file(resources.files("milliswim.data") / "excursion.csv") as p:
-        return ExcursionTable.from_csv(p)
+        table = BilinearTable.from_csv(p, "app_mm", "esd_mm")["both"]
+    if np.any(table.values < 0):
+        raise ValueError("excursions must be nonnegative")
+    return table

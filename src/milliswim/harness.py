@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .metrics import (
     SwimmerSpec,
     cost_of_transport,
     format_table,
-    metrics_summary,
     reynolds,
     strouhal,
     swim_number,
@@ -90,14 +90,13 @@ class ExperimentConfig:
     cycle_i_tail: float = NEW_DESIGN_RDF_TAIL
     cycle_n_steps: int = 1000
 
-    KINDS = (
-        "excursion_sweep", "speed_sweep", "turn_sweep",
-        "track_rectilinear", "track_left", "track_right", "constrained_cycle",
-    )
+    KINDS: ClassVar[tuple[str, ...]]  # the keys of RUNNERS, set below it
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError("duration must be finite and positive")
+        if self.repeats < 1:
+            raise ValueError("repeats must be at least 1")
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
 
@@ -113,46 +112,38 @@ class ExperimentConfig:
         ini = configparser.ConfigParser()
         if not ini.read(path):
             raise FileNotFoundError(path)
-        cfg = ExperimentConfig()
-        if ini.has_section("run"):
-            r = ini["run"]
-            cfg.kind = r.get("kind", cfg.kind)
-            cfg.duration = r.getfloat("duration_s", cfg.duration)
-            cfg.seed = r.getint("seed", cfg.seed)
-            cfg.output_dir = Path(r.get("out", str(cfg.output_dir)))
-            cfg.repeats = r.getint("repeats", cfg.repeats)
-        if ini.has_section("control"):
-            c = ini["control"]
-            cc = cfg.control
-            cfg.control = replace(
+        d = ExperimentConfig()
+        cc, fl = d.control, d.fluid
+        get, getf, geti = ini.get, ini.getfloat, ini.getint  # fallback when absent
+        return ExperimentConfig(
+            kind=get("run", "kind", fallback=d.kind),
+            duration=getf("run", "duration_s", fallback=d.duration),
+            seed=geti("run", "seed", fallback=d.seed),
+            output_dir=Path(get("run", "out", fallback=str(d.output_dir))),
+            repeats=geti("run", "repeats", fallback=d.repeats),
+            control=replace(
                 cc,
-                k_p=c.getfloat("kp", cc.k_p),
-                k_i=c.getfloat("ki", cc.k_i),
-                k_p_psi=c.getfloat("kp_psi", cc.k_p_psi),
-                u_v=c.getfloat("uv", cc.u_v),
-                u_max=c.getfloat("umax", cc.u_max),
-                freq=c.getfloat("freq_hz", cc.freq),
-                loop_rate=c.getfloat("loop_hz", cc.loop_rate),
-            )
-        if ini.has_section("plant"):
-            p = ini["plant"]
-            cfg.noise_sigma = p.getfloat("noise_sigma_m", cfg.noise_sigma)
-            cfg.response_time = p.getfloat("response_time_s", cfg.response_time)
-        if ini.has_section("fluid"):
-            fl = ini["fluid"]
-            cfg.fluid = FluidEnv(
-                rho=fl.getfloat("rho", cfg.fluid.rho),
-                c_d=fl.getfloat("c_d", cfg.fluid.c_d),
-                nu=fl.getfloat("nu", cfg.fluid.nu),
-            )
-        if ini.has_section("cycle"):
-            cy = ini["cycle"]
-            cfg.cycle_freq = cy.getfloat("freq_hz", cfg.cycle_freq)
-            cfg.cycle_tail_amp = cy.getfloat("tail_amp_radps", cfg.cycle_tail_amp)
-            cfg.cycle_i_head = cy.getfloat("i_head_mm5", cfg.cycle_i_head)
-            cfg.cycle_i_tail = cy.getfloat("i_tail_mm5", cfg.cycle_i_tail)
-            cfg.cycle_n_steps = cy.getint("n_steps", cfg.cycle_n_steps)
-        return cfg
+                k_p=getf("control", "kp", fallback=cc.k_p),
+                k_i=getf("control", "ki", fallback=cc.k_i),
+                k_p_psi=getf("control", "kp_psi", fallback=cc.k_p_psi),
+                u_v=getf("control", "uv", fallback=cc.u_v),
+                u_max=getf("control", "umax", fallback=cc.u_max),
+                freq=getf("control", "freq_hz", fallback=cc.freq),
+                loop_rate=getf("control", "loop_hz", fallback=cc.loop_rate),
+            ),
+            noise_sigma=getf("plant", "noise_sigma_m", fallback=d.noise_sigma),
+            response_time=getf("plant", "response_time_s", fallback=d.response_time),
+            fluid=FluidEnv(
+                rho=getf("fluid", "rho", fallback=fl.rho),
+                c_d=getf("fluid", "c_d", fallback=fl.c_d),
+                nu=getf("fluid", "nu", fallback=fl.nu),
+            ),
+            cycle_freq=getf("cycle", "freq_hz", fallback=d.cycle_freq),
+            cycle_tail_amp=getf("cycle", "tail_amp_radps", fallback=d.cycle_tail_amp),
+            cycle_i_head=getf("cycle", "i_head_mm5", fallback=d.cycle_i_head),
+            cycle_i_tail=getf("cycle", "i_tail_mm5", fallback=d.cycle_i_tail),
+            cycle_n_steps=geti("cycle", "n_steps", fallback=d.cycle_n_steps),
+        )
 
     def snapshot(self) -> dict:
         return {
@@ -182,7 +173,6 @@ class ExperimentConfig:
 
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summary: dict):
     """Write config snapshot and manifest; the manifest lands last (atomic-ish)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     snap = out_dir / "config.snapshot.json"
     snap.write_text(json.dumps(cfg.snapshot(), indent=2, sort_keys=True) + "\n")
     manifest = {
@@ -199,74 +189,62 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summ
 
 # ---------------------------------------------------------------- sweeps
 
+def _write_sweep(cfg: ExperimentConfig, name: str, header: list[str], rows) -> Path:
+    """Make the output directory, write the sweep CSV and then the manifest."""
+    rows = list(rows)
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    path = cfg.output_dir / name
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+    _write_manifest(cfg.output_dir, cfg, [name], {"rows": len(rows)})
+    return path
+
+
 def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
     """Excursion sweep over the characterization grid; one row per (f, DC)."""
     table = default_excursion_table()
     cal = PlantCalibration.default()
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "excursion_sweep.csv"
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["freq_hz", "dc_pu", "app_mm", "esd_mm", "p_mw", "st", "provenance"])
+
+    def rows():
         for fr in SWEEP_FREQS:
             for dc in SWEEP_DCS:
                 app = table(fr, dc)
-                i = int(np.argmin(np.abs(table.freqs - fr)))
-                j = int(np.argmin(np.abs(table.dcs - dc)))
-                esd = float(table.aux[i, j])
                 p_mw = average_power(ExcitationCommand(fr, dc, dc)) * 1e3
                 try:
                     v_mmps = cal.speed_map(fr, dc)
                     st = strouhal(fr, app, v_mmps) if v_mmps > 0 else float("nan")
                 except CalibrationRangeError:
                     st = float("nan")
-                w.writerow([
-                    _fmt(fr), f"{dc:.2f}", _fmt(app), _fmt(esd), _fmt(p_mw),
-                    "n/a" if math.isnan(st) else _fmt(st),
+                yield [
+                    _fmt(fr), f"{dc:.2f}", _fmt(app), _fmt(table.aux[table.node(fr, dc)]),
+                    _fmt(p_mw), "n/a" if math.isnan(st) else _fmt(st),
                     table.node_provenance(fr, dc),
-                ])
-    _write_manifest(out, cfg, [path.name], {"rows": len(SWEEP_FREQS) * len(SWEEP_DCS)})
-    return path
+                ]
+
+    header = ["freq_hz", "dc_pu", "app_mm", "esd_mm", "p_mw", "st", "provenance"]
+    return _write_sweep(cfg, "excursion_sweep.csv", header, rows())
 
 
 def run_speed_sweep(cfg: ExperimentConfig) -> Path:
-    cal = PlantCalibration.default()
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "speed_sweep.csv"
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["freq_hz", "dc_pu", "v_mmps", "provenance"])
-        for fr in SWEEP_FREQS:
-            for dc in SWEEP_DCS:
-                w.writerow([
-                    _fmt(fr), f"{dc:.2f}", _fmt(cal.speed_map(fr, dc)),
-                    cal.speed_map.node_provenance(fr, dc),
-                ])
-    _write_manifest(out, cfg, [path.name], {"rows": len(SWEEP_FREQS) * len(SWEEP_DCS)})
-    return path
+    speed = PlantCalibration.default().speed_map
+    rows = (
+        [_fmt(fr), f"{dc:.2f}", _fmt(speed(fr, dc)), speed.node_provenance(fr, dc)]
+        for fr in SWEEP_FREQS for dc in SWEEP_DCS
+    )
+    return _write_sweep(cfg, "speed_sweep.csv", ["freq_hz", "dc_pu", "v_mmps", "provenance"], rows)
 
 
 def run_turn_sweep(cfg: ExperimentConfig) -> Path:
     cal = PlantCalibration.default()
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "turn_sweep.csv"
-    n = 0
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["freq_hz", "dc_pu", "side", "rate_degps", "provenance"])
-        for side, table in (("left", cal.turn_map_left), ("right", cal.turn_map_right)):
-            for fr in TURN_FREQS:
-                for dc in TURN_DCS:
-                    w.writerow([
-                        _fmt(fr), f"{dc:.2f}", side, _fmt(table(fr, dc)),
-                        table.node_provenance(fr, dc),
-                    ])
-                    n += 1
-    _write_manifest(out, cfg, [path.name], {"rows": n})
-    return path
+    rows = (
+        [_fmt(fr), f"{dc:.2f}", side, _fmt(table(fr, dc)), table.node_provenance(fr, dc)]
+        for side, table in (("left", cal.turn_map_left), ("right", cal.turn_map_right))
+        for fr in TURN_FREQS for dc in TURN_DCS
+    )
+    header = ["freq_hz", "dc_pu", "side", "rate_degps", "provenance"]
+    return _write_sweep(cfg, "turn_sweep.csv", header, rows)
 
 
 # ---------------------------------------------------------------- tracking
@@ -349,9 +327,7 @@ def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
         raise ValueError(f"{cfg.kind!r} is not a tracking experiment")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    cal = PlantCalibration.default(
-        noise_sigma=cfg.noise_sigma, response_time=cfg.response_time
-    )
+    cal = PlantCalibration.default()
     rng = np.random.default_rng(cfg.seed)
     results = []
     for rep in range(cfg.repeats):
@@ -389,19 +365,30 @@ def run_constrained_cycle(cfg: ExperimentConfig) -> Path:
     return path
 
 
+# Every experiment kind: its runner and the CLI (command, argument) that
+# selects it. run_experiment, the CLI and ExperimentConfig.KINDS read this.
+RUNNERS = {
+    "excursion_sweep": (run_excursion_sweep, "sweep", "excursion"),
+    "speed_sweep": (run_speed_sweep, "sweep", "speed"),
+    "turn_sweep": (run_turn_sweep, "sweep", "turn"),
+    "track_rectilinear": (run_tracking, "track", "line"),
+    "track_left": (run_tracking, "track", "left"),
+    "track_right": (run_tracking, "track", "right"),
+    "constrained_cycle": (run_constrained_cycle, "cycle", None),
+}
+ExperimentConfig.KINDS = tuple(RUNNERS)
+CLI_KINDS = {(command, arg): kind for kind, (_, command, arg) in RUNNERS.items()}
+
+
 def run_experiment(cfg: ExperimentConfig):
-    if cfg.kind == "excursion_sweep":
-        return run_excursion_sweep(cfg)
-    if cfg.kind == "speed_sweep":
-        return run_speed_sweep(cfg)
-    if cfg.kind == "turn_sweep":
-        return run_turn_sweep(cfg)
-    if cfg.kind == "constrained_cycle":
-        return run_constrained_cycle(cfg)
-    return run_tracking(cfg)
+    return RUNNERS[cfg.kind][0](cfg)
 
 
 # ---------------------------------------------------------------- CLI
+
+def _cli_args(command: str) -> list[str]:
+    return [arg for cmd, arg in CLI_KINDS if cmd == command]
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -422,10 +409,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser("sweep", help="open-loop characterization sweeps")
-    sweep.add_argument("which", choices=("excursion", "speed", "turn"))
+    sweep.add_argument("which", choices=_cli_args("sweep"))
 
     track = sub.add_parser("track", help="closed-loop tracking maneuvers")
-    track.add_argument("maneuver", choices=("line", "left", "right"))
+    track.add_argument("maneuver", choices=_cli_args("track"))
     track.add_argument("--repeats", type=int, default=1)
     track.add_argument("--duration", type=float, help="run duration in seconds")
     track.add_argument("--noise-sigma", type=float, help="measurement noise std, m")
@@ -467,16 +454,13 @@ def _cmd_metrics(args) -> int:
     spec = SwimmerSpec(mass=args.mass_mg * 1e-6, length=args.length_mm * 1e-3)
     v = args.v_mmps * 1e-3
     app = args.app_mm * 1e-3
-    summary = metrics_summary(
-        cot=cost_of_transport(args.p_mw * 1e-3, spec, v),
-        st=strouhal(args.f, app, v),
-        re=reynolds(v, spec.length, args.nu),
-        sw=swim_number(args.f, app, spec.length, args.nu),
-    )
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(format_table(summary))
+    summary = {
+        "cot": cost_of_transport(args.p_mw * 1e-3, spec, v),
+        "st": strouhal(args.f, app, v),
+        "re": reynolds(v, spec.length, args.nu),
+        "sw": swim_number(args.f, app, spec.length, args.nu),
+    }
+    print(json.dumps(summary, indent=2, sort_keys=True) if args.json else format_table(summary))
     return 0
 
 
@@ -494,43 +478,29 @@ def cli_main(argv=None) -> int:
             return _cmd_metrics(args)
 
         cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = args.out
-
-        if args.command == "sweep":
-            cfg.kind = f"{args.which}_sweep"
-            out = run_experiment(cfg)
-            print(out)
-            return 0
-        if args.command == "cycle":
-            cfg.kind = "constrained_cycle"
-            out = run_constrained_cycle(cfg)
-            print(out)
-            return 0
+        given = {"seed": args.seed, "output_dir": args.out}
         if args.command == "track":
-            cfg.kind = {
-                "line": "track_rectilinear",
-                "left": "track_left",
-                "right": "track_right",
-            }[args.maneuver]
-            cfg.repeats = args.repeats
-            if args.duration is not None:
-                cfg.duration = args.duration
-            if args.noise_sigma is not None:
-                cfg.noise_sigma = args.noise_sigma
-            results = run_tracking(cfg)
-            for i, r in enumerate(results):
-                print(f"test {i + 1}: {json.dumps(r.stats, sort_keys=True)}")
-            return 2 if any(r.failed for r in results) else 0
+            given.update(
+                repeats=args.repeats, duration=args.duration, noise_sigma=args.noise_sigma
+            )
+        arg = getattr(args, "which", getattr(args, "maneuver", None))
+        cfg = replace(
+            cfg, kind=CLI_KINDS[args.command, arg],
+            **{k: v for k, v in given.items() if v is not None},
+        )
+        out = run_experiment(cfg)
+        if args.command != "track":
+            print(out)
+            return 0
+        for i, r in enumerate(out):
+            print(f"test {i + 1}: {json.dumps(r.stats, sort_keys=True)}")
+        return 2 if any(r.failed for r in out) else 0
     except (ValueError, DomainError, FileNotFoundError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failures (convergence, I/O mid-run, ...)
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
-    return 1
 
 
 def main() -> None:

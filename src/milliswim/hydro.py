@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidPlanformError
-from .planform import Planform, RdfReport, rdf_report, resistive_drag_factor
+from .planform import Planform, RdfReport, chord_at, rdf_report, resistive_drag_factor
 
 MM5_TO_M5 = 1e-15
 DEFAULT_TAIL_LENGTH_MM = 12.0  # pivot-to-tip length used to convert excursion to angle
@@ -92,8 +92,6 @@ def drag_force_per_length(env: FluidEnv, p: Planform, omega: float, x: float) ->
     f(x) = -0.5 * rho * C_d * h(x) * omega*|omega| * x*|x|, with h evaluated
     on the planform's mm scale.
     """
-    from .planform import chord_at
-
     x_mm = x * 1000.0
     h_m = chord_at(p, x_mm) * 1e-3
     return -0.5 * env.rho * env.c_d * h_m * omega * abs(omega) * x * abs(x)
@@ -218,10 +216,16 @@ def simulate_cycle(
     omega_t_fn = tail_motion.omega_fn
 
     def deriv(t, w_h):
-        tau_b = half_rho_cd * (
-            omega_t_fn(t) * abs(omega_t_fn(t)) * i_t - w_h * abs(w_h) * i_h
-        )
+        w_t = omega_t_fn(t)
+        tau_b = half_rho_cd * (w_t * abs(w_t) * i_t - w_h * abs(w_h) * i_h)
         return tau_b / yaw_inertia
+
+    def rk4_step(t, w):
+        k1 = deriv(t, w)
+        k2 = deriv(t + 0.5 * dt, w + 0.5 * dt * k1)
+        k3 = deriv(t + 0.5 * dt, w + 0.5 * dt * k2)
+        k4 = deriv(t + dt, w + dt * k3)
+        return w + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
     scale = math.sqrt(tail_motion.mean_square()) or 1.0
     w = 0.0
@@ -230,12 +234,7 @@ def simulate_cycle(
         w_start = w
         t0 = k * period
         for s in range(n_steps):
-            t = t0 + s * dt
-            k1 = deriv(t, w)
-            k2 = deriv(t + 0.5 * dt, w + 0.5 * dt * k1)
-            k3 = deriv(t + 0.5 * dt, w + 0.5 * dt * k2)
-            k4 = deriv(t + dt, w + dt * k3)
-            w += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+            w = rk4_step(t0 + s * dt, w)
         if abs(w - w_start) <= settle_rel_tol * scale:
             converged_at = k + 1
             break
@@ -254,11 +253,7 @@ def simulate_cycle(
         t_rec[s] = t - t0
         w_h[s] = w
         w_t[s] = omega_t_fn(t)
-        k1 = deriv(t, w)
-        k2 = deriv(t + 0.5 * dt, w + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, w + 0.5 * dt * k2)
-        k4 = deriv(t + dt, w + dt * k3)
-        w += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        w = rk4_step(t, w)
 
     tau_rh = half_rho_cd * w_h * np.abs(w_h) * i_h
     tau_rt = half_rho_cd * w_t * np.abs(w_t) * i_t

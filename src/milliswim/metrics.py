@@ -6,7 +6,6 @@ identity Sw = 2 pi Re St holds by construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -75,14 +74,6 @@ class TrajectoryStats:
             "mean_turn_rate_radps": self.mean_turn_rate_radps,
             "turn_radius_m": None if math.isnan(self.turn_radius_m) else self.turn_radius_m,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
-
-def metrics_summary(cot, st, re, sw) -> dict:
-    """Efficiency summary with the canonical field names."""
-    return {"cot": cot, "st": st, "re": re, "sw": sw}
 
 
 def format_table(summary: dict) -> str:

@@ -46,6 +46,8 @@ class Planform:
     kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if not (math.isfinite(self.l1) and math.isfinite(self.l2)):
+            raise InvalidPlanformError("l1 and l2 must be finite")
         if self.l1 < 0 or self.l2 < 0:
             raise InvalidPlanformError("l1 and l2 must be nonnegative")
         if self.l1 + self.l2 <= 0:

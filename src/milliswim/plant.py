@@ -12,9 +12,8 @@ reproduces the observed closed-loop turn geometry.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -48,42 +47,13 @@ class SwimmerState:
         object.__setattr__(self, "psi", wrap_angle(self.psi))
 
 
-def _load_table(path, value_col) -> dict[str, BilinearTable]:
-    """Load one or two BilinearTables from a calibration CSV, keyed by side."""
-    rows: dict[str, list] = {}
-    with open(path, newline="") as f:
-        for rec in csv.DictReader(f):
-            side = rec.get("side", "") or "both"
-            rows.setdefault(side, []).append(
-                (float(rec["freq_hz"]), float(rec["dc_pu"]), float(rec[value_col]),
-                 rec["provenance"])
-            )
-    out = {}
-    for side, rr in rows.items():
-        freqs = sorted({r[0] for r in rr})
-        dcs = sorted({r[1] for r in rr})
-        vals = np.full((len(freqs), len(dcs)), np.nan)
-        prov = np.full(vals.shape, "digitized", dtype=object)
-        fi = {f_: i for i, f_ in enumerate(freqs)}
-        di = {d_: j for j, d_ in enumerate(dcs)}
-        for f_, d_, v_, p_ in rr:
-            vals[fi[f_], di[d_]] = v_
-            prov[fi[f_], di[d_]] = p_
-        if np.any(np.isnan(vals)):
-            raise ValueError(f"calibration grid in {path} ({side}) is not rectangular")
-        out[side] = BilinearTable(freqs, dcs, vals, provenance=prov)
-    return out
-
-
 @dataclass(frozen=True)
 class PlantCalibration:
-    """Calibrated speed and turn-rate maps plus response/noise parameters."""
+    """Calibrated speed and turn-rate maps plus nominal turn radii."""
 
     speed_map: BilinearTable                 # (f, dc) -> mm/s
     turn_map_left: BilinearTable             # (f, dc) -> deg/s, >= 0
     turn_map_right: BilinearTable            # (f, dc) -> deg/s, <= 0
-    noise_sigma: float = 0.0                 # m, motion-capture position noise
-    response_time: float = 0.5               # s, first-order lag for v and omega
     turn_radius_left: float = 0.024          # m, nominal left-turn radius
     turn_radius_right: float = 0.010         # m, nominal right-turn radius
 
@@ -96,26 +66,21 @@ class PlantCalibration:
             raise ValueError("right turn rates must be nonpositive")
 
     @staticmethod
-    def from_csv(speed_path, turn_path, **kwargs) -> "PlantCalibration":
-        speed = _load_table(speed_path, "value")["both"]
-        turn = _load_table(turn_path, "value")
+    def from_csv(speed_path, turn_path) -> "PlantCalibration":
+        turn = BilinearTable.from_csv(turn_path, "value")
         return PlantCalibration(
-            speed_map=speed,
+            speed_map=BilinearTable.from_csv(speed_path, "value")["both"],
             turn_map_left=turn["left"],
             turn_map_right=turn["right"],
-            **kwargs,
         )
 
     @staticmethod
-    def default(**kwargs) -> "PlantCalibration":
+    def default() -> "PlantCalibration":
         data = resources.files("milliswim.data")
         with resources.as_file(data / "speed.csv") as sp, resources.as_file(
             data / "turn.csv"
         ) as tp:
-            return PlantCalibration.from_csv(sp, tp, **kwargs)
-
-    def with_noise(self, noise_sigma: float) -> "PlantCalibration":
-        return replace(self, noise_sigma=noise_sigma)
+            return PlantCalibration.from_csv(sp, tp)
 
 
 def command_to_rates(cal: PlantCalibration, cmd: ExcitationCommand) -> tuple[float, float]:

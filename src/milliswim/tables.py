@@ -1,4 +1,5 @@
-"""Gridded calibration lookup with bilinear interpolation.
+"""Gridded calibration lookup with bilinear interpolation, and the one loader
+that reads the calibration CSVs into such grids.
 
 Grids are rectangular (frequency x duty cycle), strictly increasing on both
 axes, and immutable after construction. Queries outside the convex hull raise
@@ -6,6 +7,8 @@ CalibrationRangeError; there is no silent extrapolation.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -39,6 +42,43 @@ class BilinearTable:
         else:
             self.provenance = np.asarray(provenance, dtype=object)
 
+    @classmethod
+    def from_csv(
+        cls, path, value_col: str, aux_col: str | None = None
+    ) -> dict[str, BilinearTable]:
+        """Load a calibration CSV into one table per `side` ("both" when the
+        CSV has no side column or leaves it blank).
+
+        Columns: freq_hz, dc_pu, value_col, optional aux_col, provenance.
+        Every (freq, dc) cell of a side must appear exactly once.
+        """
+        cells: dict[str, dict] = {}
+        with open(path, newline="") as f:
+            for rec in csv.DictReader(f):
+                side = rec.get("side") or "both"
+                key = (float(rec["freq_hz"]), float(rec["dc_pu"]))
+                grid = cells.setdefault(side, {})
+                if key in grid:
+                    raise ValueError(
+                        f"{path}: duplicate row for side {side!r} at freq={key[0]:g}, dc={key[1]:g}"
+                    )
+                aux = float(rec[aux_col]) if aux_col else None
+                grid[key] = (float(rec[value_col]), aux, rec["provenance"])
+        tables = {}
+        for side, grid in cells.items():
+            freqs = sorted({f for f, _ in grid})
+            dcs = sorted({d for _, d in grid})
+            if len(grid) != len(freqs) * len(dcs):
+                raise ValueError(f"calibration grid in {path} ({side}) is not rectangular")
+            rows = [[grid[f, d] for d in dcs] for f in freqs]
+            tables[side] = cls(
+                freqs, dcs,
+                [[c[0] for c in row] for row in rows],
+                aux=[[c[1] for c in row] for row in rows] if aux_col else None,
+                provenance=[[c[2] for c in row] for row in rows],
+            )
+        return tables
+
     def _locate(self, axis: np.ndarray, x: float, name: str) -> tuple[int, float]:
         if not (axis[0] <= x <= axis[-1]):
             raise CalibrationRangeError(
@@ -60,10 +100,14 @@ class BilinearTable:
             + v[i + 1, j + 1] * u * w
         )
 
-    def node_provenance(self, freq: float, dc: float) -> str:
-        """Provenance of the grid node at (freq, dc); the point must be a node."""
+    def node(self, freq: float, dc: float) -> tuple[int, int]:
+        """Grid indices of the node at (freq, dc); the point must be a node."""
         i = int(np.argmin(np.abs(self.freqs - freq)))
         j = int(np.argmin(np.abs(self.dcs - dc)))
         if not (np.isclose(self.freqs[i], freq) and np.isclose(self.dcs[j], dc)):
             raise CalibrationRangeError(f"({freq}, {dc}) is not a grid node")
-        return str(self.provenance[i, j])
+        return i, j
+
+    def node_provenance(self, freq: float, dc: float) -> str:
+        """Provenance of the grid node at (freq, dc); the point must be a node."""
+        return str(self.provenance[self.node(freq, dc)])

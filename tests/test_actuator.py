@@ -1,19 +1,21 @@
 import csv
+from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from milliswim import actuator
 from milliswim.actuator import (
     ExcitationCommand,
-    ExcursionTable,
     Mode,
     average_power,
     classify_mode,
     default_excursion_table,
-    excursion,
     waveform_sample,
 )
 from milliswim.errors import CalibrationRangeError
+from milliswim.tables import BilinearTable
 
 
 class TestWaveform:
@@ -108,28 +110,28 @@ class TestAveragePower:
 class TestExcursionTable:
     def test_measured_maxima(self):
         t = default_excursion_table()
-        assert excursion(t, 1.0, 0.06) == 7.80
-        assert excursion(t, 2.0, 0.10) == 6.34
-        assert excursion(t, 5.0, 0.10) == 3.75
+        assert t(1.0, 0.06) == 7.80
+        assert t(2.0, 0.10) == 6.34
+        assert t(5.0, 0.10) == 3.75
 
     def test_every_node_exact(self):
         t = default_excursion_table()
         for i, f in enumerate(t.freqs):
             for j, d in enumerate(t.dcs):
-                assert excursion(t, f, d) == t.values[i, j]
+                assert t(f, d) == t.values[i, j]
 
     def test_bilinear_midpoint(self):
         t = default_excursion_table()
-        mid = excursion(t, 1.5, 0.095)
-        corners = [excursion(t, f, d) for f in (1.0, 2.0) for d in (0.09, 0.10)]
+        mid = t(1.5, 0.095)
+        corners = [t(f, d) for f in (1.0, 2.0) for d in (0.09, 0.10)]
         assert mid == pytest.approx(sum(corners) / 4.0)
 
     def test_no_silent_extrapolation(self):
         t = default_excursion_table()
         with pytest.raises(CalibrationRangeError):
-            excursion(t, 6.0, 0.05)
+            t(6.0, 0.05)
         with pytest.raises(CalibrationRangeError):
-            excursion(t, 2.0, 0.005)
+            t(2.0, 0.005)
 
     def test_csv_roundtrip(self, tmp_path):
         p = tmp_path / "exc.csv"
@@ -139,6 +141,21 @@ class TestExcursionTable:
             for fr in (1.0, 2.0):
                 for dc, app in ((0.05, 3.0), (0.10, 5.0)):
                     w.writerow([fr, dc, app * fr, 0.1, "text"])
-        t = ExcursionTable.from_csv(p)
-        assert excursion(t, 2.0, 0.10) == 10.0
+        t = BilinearTable.from_csv(p, "app_mm", "esd_mm")["both"]
+        assert t(2.0, 0.10) == 10.0
         assert t.node_provenance(1.0, 0.05) == "text"
+
+    def test_negative_excursion_rejected(self, tmp_path, monkeypatch):
+        with open(tmp_path / "excursion.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["freq_hz", "dc_pu", "app_mm", "esd_mm", "provenance"])
+            for fr in (1.0, 2.0):
+                for dc, app in ((0.05, 3.0), (0.10, -0.5)):
+                    w.writerow([fr, dc, app, 0.1, "text"])
+        monkeypatch.setattr(
+            actuator, "resources",
+            SimpleNamespace(files=lambda package: tmp_path, as_file=resources.as_file),
+        )
+        with pytest.raises(ValueError, match="nonnegative"):
+            default_excursion_table()
+

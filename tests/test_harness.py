@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from milliswim.harness import (
+    CLI_KINDS,
+    RUNNERS,
     ExperimentConfig,
     cli_main,
     run_excursion_sweep,
@@ -14,6 +16,18 @@ from milliswim.harness import (
     run_tracking,
     run_turn_sweep,
 )
+
+# sha256 of the sweep and cycle CSVs of `milliswim --seed 7 sweep ...|cycle`.
+PINNED_SHA256 = {
+    ("sweep", "excursion"): ("excursion_sweep.csv",
+                             "9d04967468ff9246435a6c7e040066803206d32053456dbc4ce644e00fd50dc9"),
+    ("sweep", "speed"): ("speed_sweep.csv",
+                         "5dc6f5d5f63e2639fbd95854e9259e8b4a66cd721db5c430f22e1e5c6e8c1b0c"),
+    ("sweep", "turn"): ("turn_sweep.csv",
+                        "4bf11769c23fce8ada128a277a6236b18dad01067d2dc374b60d952bb17a3cba"),
+    ("cycle",): ("cycle.csv",
+                 "0380e24a7b1639fb99f11acf75e57618765da84c1f8cfbf5015b1b91a3d14bd2"),
+}
 
 
 def read_rows(path):
@@ -176,6 +190,10 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             ExperimentConfig(kind="swim_backwards")
 
+    def test_kinds_are_the_runner_table(self):
+        assert ExperimentConfig.KINDS == tuple(RUNNERS)
+        assert set(CLI_KINDS.values()) == set(RUNNERS)
+
 
 class TestCli:
     def test_rdf_design_new(self, capsys):
@@ -246,6 +264,33 @@ class TestCli:
     def test_bad_config_exit_1(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "missing.ini"), "cycle"]) == 1
 
+    @pytest.mark.parametrize("ini, argv", [
+        ("[run]\nduration_s = -5\n", ["track", "line"]),
+        ("", ["track", "line", "--repeats", "0"]),
+        ("", ["track", "line", "--repeats", "-2"]),
+        ("", ["track", "line", "--duration", "nan"]),
+        ("", ["track", "line", "--duration", "0"]),
+        ("", ["track", "line", "--duration", "inf"]),
+        ("[run]\nrepeats = 0\n", ["cycle"]),
+    ], ids=["ini-duration", "repeats-0", "repeats-neg", "duration-nan", "duration-0",
+            "duration-inf", "ini-repeats"])
+    def test_invalid_final_config_exit_1(self, tmp_path, capsys, ini, argv):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "run"
+        assert cli_main(["--config", str(cfg), "--out", str(out), *argv]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overrides_reach_the_config(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = cli_main(["--out", str(out), "--seed", "5", "track", "left",
+                       "--duration", "2", "--noise-sigma", "0.0002"])
+        assert rc == 0
+        snap = json.loads((out / "config.snapshot.json").read_text())
+        assert (snap["kind"], snap["seed"], snap["duration_s"]) == ("track_left", 5, 2.0)
+        assert snap["plant"]["noise_sigma_m"] == 2e-4
+
 
 def tree_digests(root: Path) -> dict:
     return {
@@ -268,3 +313,10 @@ def test_rerun_output_directories_identical(tmp_path, capsys, argv):
     a, b = tree_digests(tmp_path / "a"), tree_digests(tmp_path / "b")
     assert "manifest.json" in a
     assert a == b
+
+
+@pytest.mark.parametrize("argv", list(PINNED_SHA256), ids="-".join)
+def test_pinned_output_digests(tmp_path, capsys, argv):
+    name, digest = PINNED_SHA256[argv]
+    assert cli_main(["--out", str(tmp_path), "--seed", "7", *argv]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

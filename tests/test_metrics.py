@@ -6,11 +6,11 @@ import pytest
 
 from milliswim.control import ReferencePath
 from milliswim.errors import DomainError
+from milliswim.harness import cli_main
 from milliswim.metrics import (
     SwimmerSpec,
     cost_of_transport,
     format_table,
-    metrics_summary,
     reynolds,
     strouhal,
     swim_number,
@@ -100,19 +100,21 @@ class TestSwimNumber:
 
 
 class TestSummaryFormatting:
-    def test_fields(self):
-        s = metrics_summary(cot=1.0, st=2.0, re=3.0, sw=4.0)
-        assert list(s) == ["cot", "st", "re", "sw"]
+    def test_fields(self, capsys):
+        argv = ["metrics", "--f", "2", "--app-mm", "6.34", "--v-mmps", "13.6", "--p-mw", "72"]
+        assert cli_main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [r.split()[0] for r in rows] == ["cot", "st", "re", "sw"]
 
     def test_table_contains_values(self):
-        txt = format_table(metrics_summary(cot=9304.0, st=0.93, re=489.6, sw=2868.0))
+        txt = format_table({"cot": 9304.0, "st": 0.93, "re": 489.6, "sw": 2868.0})
         assert "9304" in txt and "0.93" in txt
 
     def test_stats_json_roundtrip(self):
         from milliswim.metrics import TrajectoryStats
 
         ts = TrajectoryStats(2.6e-3, 9.1e-3, 0.0, math.nan)
-        d = json.loads(ts.to_json())
+        d = json.loads(json.dumps(ts.as_dict()))
         assert d["rms_error_m"] == 2.6e-3
         assert d["turn_radius_m"] is None
 

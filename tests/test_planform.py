@@ -118,6 +118,13 @@ class TestResistiveDragFactor:
         with pytest.raises(InvalidPlanformError):
             Planform.rectangle(10.0, -1.0, 5.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["l1", "l2"])
+    def test_non_finite_span(self, side, bad):
+        spans = {"l1": 1.0, "l2": 1.0, side: bad}
+        with pytest.raises(InvalidPlanformError, match="finite"):
+            Planform.rectangle(1.0, spans["l1"], spans["l2"])
+
 
 class TestRdfReport:
     def test_new_design_constants(self):

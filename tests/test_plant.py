@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -191,9 +192,35 @@ class TestMeasure:
             measure(SwimmerState(), -1e-3)
 
 
+def write_grid(path, side_values):
+    """Calibration CSV with one 2 x 2 grid per side; values in row order."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["freq_hz", "dc_pu", "side", "value", "units", "provenance"])
+        cells = [(fr, dc) for fr in (1.0, 2.0) for dc in (0.05, 0.10)]
+        for side, values in side_values.items():
+            for (fr, dc), v in zip(cells, values):
+                w.writerow([fr, dc, side, v, "x", "digitized"])
+    return path
+
+
 class TestCalibrationValidation:
-    def test_with_noise_copy(self):
-        cal2 = CAL.with_noise(1e-3)
-        assert cal2.noise_sigma == 1e-3
-        assert CAL.noise_sigma == 0.0
-        assert cal2.speed_map is CAL.speed_map
+    def test_from_csv_loads_sides(self, tmp_path):
+        cal = PlantCalibration.from_csv(
+            write_grid(tmp_path / "s.csv", {"": [1, 2, 3, 4]}),
+            write_grid(tmp_path / "t.csv", {"left": [1, 2, 3, 4], "right": [-1, -2, -3, -4]}),
+        )
+        assert cal.speed_map(2.0, 0.10) == 4.0
+        assert cal.turn_map_left(1.0, 0.10) == 2.0
+        assert cal.turn_map_right(2.0, 0.05) == -3.0
+
+    @pytest.mark.parametrize("speed, turn", [
+        ([1, -2, 3, 4], {"left": [1, 2, 3, 4], "right": [-1, -2, -3, -4]}),
+        ([1, 2, 3, 4], {"left": [1, 2, -3, 4], "right": [-1, -2, -3, -4]}),
+        ([1, 2, 3, 4], {"left": [1, 2, 3, 4], "right": [-1, 2, -3, -4]}),
+    ])
+    def test_sign_checks(self, tmp_path, speed, turn):
+        with pytest.raises(ValueError, match="must be non"):
+            PlantCalibration.from_csv(
+                write_grid(tmp_path / "s.csv", {"": speed}), write_grid(tmp_path / "t.csv", turn)
+            )
