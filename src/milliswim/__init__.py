@@ -8,6 +8,7 @@ from .actuator import (
     average_power,
     classify_mode,
     default_excursion_table,
+    mode_of,
     waveform_sample,
 )
 from .control import (
@@ -20,6 +21,7 @@ from .control import (
     heading_step,
     lateral_error,
     lpc_step,
+    tick,
 )
 from .hydro import (
     FluidEnv,
@@ -34,6 +36,7 @@ from .hydro import (
 from .metrics import (
     SwimmerSpec,
     cost_of_transport,
+    lateral_errors,
     reynolds,
     strouhal,
     swim_number,
@@ -42,8 +45,11 @@ from .metrics import (
 from .plant import (
     PlantCalibration,
     SwimmerState,
+    advance,
     command_to_rates,
     measure,
+    observe,
+    rates,
     step,
     wrap_angle,
 )

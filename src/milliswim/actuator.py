@@ -61,16 +61,21 @@ def waveform_sample(cmd: ExcitationCommand, t: float) -> tuple[float, float]:
     return left, right
 
 
-def classify_mode(cmd: ExcitationCommand) -> Mode:
-    if cmd.dc_left == 0.0 and cmd.dc_right == 0.0:
+def mode_of(dc_left: float, dc_right: float) -> Mode:
+    """Drive mode of a pair of channel duty cycles."""
+    if dc_left == 0.0 and dc_right == 0.0:
         return Mode.IDLE
-    if cmd.dc_left == cmd.dc_right:
+    if dc_left == dc_right:
         return Mode.BIMORPH
-    if cmd.dc_right == 0.0:
+    if dc_right == 0.0:
         return Mode.UNIMORPH_LEFT
-    if cmd.dc_left == 0.0:
+    if dc_left == 0.0:
         return Mode.UNIMORPH_RIGHT
     return Mode.MIXED
+
+
+def classify_mode(cmd: ExcitationCommand) -> Mode:
+    return mode_of(cmd.dc_left, cmd.dc_right)
 
 
 def average_power(cmd: ExcitationCommand) -> float:

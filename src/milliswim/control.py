@@ -42,8 +42,8 @@ class ControlConfig:
             raise ValueError("gains must be nonnegative")
         if not 0.0 < self.u_v <= self.u_max <= 1.0:
             raise ValueError("require 0 < u_v <= u_max <= 1")
-        if self.loop_rate <= 0 or self.freq <= 0:
-            raise ValueError("freq and loop_rate must be positive")
+        if self.loop_rate <= 0 or self.freq <= 0 or self.on_height <= 0:
+            raise ValueError("freq, loop_rate and on_height must be positive")
 
 
 @dataclass(frozen=True)
@@ -60,28 +60,34 @@ class PathSegment:
     target: float
     waypoint: float | None = None
 
-    @property
-    def lateral_axis(self) -> int:
-        """1 or 2: the coordinate the segment holds at `target`."""
-        return 1 if abs(math.sin(self.heading)) > 0.5 else 2
+    # Derived from heading once, in __post_init__ (the tracking loop reads
+    # them every tick):
+    # lateral_axis: 1 or 2, the coordinate the segment holds at `target`;
+    # along_axis: the other one;
+    # along_sign: +1 when the along-path coordinate increases during travel;
+    # left_normal_sign: s such that s * (target - r_lat) is the error toward
+    # body-left.
+    lateral_axis: int = field(init=False, repr=False, compare=False)
+    along_axis: int = field(init=False, repr=False, compare=False)
+    along_sign: float = field(init=False, repr=False, compare=False)
+    left_normal_sign: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def along_axis(self) -> int:
-        return 2 if self.lateral_axis == 1 else 1
-
-    @property
-    def along_sign(self) -> float:
-        """+1 when the along-path coordinate increases during travel."""
-        c = math.cos(self.heading) if self.along_axis == 1 else math.sin(self.heading)
-        return 1.0 if c >= 0 else -1.0
-
-    @property
-    def left_normal_sign(self) -> float:
-        """Sign s such that s * (target - r_lat) is the error toward body-left."""
+    def __post_init__(self):
+        c, s = math.cos(self.heading), math.sin(self.heading)
+        lateral = 1 if abs(s) > 0.5 else 2
+        along = 2 if lateral == 1 else 1
         # left normal of heading theta is (-sin(theta), cos(theta))
-        if self.lateral_axis == 2:
-            return 1.0 if math.cos(self.heading) >= 0 else -1.0
-        return -1.0 if math.sin(self.heading) >= 0 else 1.0
+        if lateral == 2:
+            left = 1.0 if c >= 0 else -1.0
+        else:
+            left = -1.0 if s >= 0 else 1.0
+        for name, value in (
+            ("lateral_axis", lateral),
+            ("along_axis", along),
+            ("along_sign", 1.0 if (c if along == 1 else s) >= 0 else -1.0),
+            ("left_normal_sign", left),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,7 @@ class ReferencePath:
 class ControllerState:
     integrator: float = 0.0   # m*s, accumulated cross-track error
     active_segment: int = 0
+    integrator_clamps: int = 0  # ticks on which integrator_limit cut the integrator
 
 
 def lateral_error(
@@ -171,7 +178,10 @@ def lpc_step(cfg: ControlConfig, st: ControllerState, r_e: float, dt: float) -> 
     st.integrator += r_e * dt
     if cfg.integrator_limit is not None and cfg.k_i > 0:
         bound = cfg.integrator_limit / cfg.k_i
-        st.integrator = min(max(st.integrator, -bound), bound)
+        clamped = min(max(st.integrator, -bound), bound)
+        if clamped != st.integrator:
+            st.integrator = clamped
+            st.integrator_clamps += 1
     psi_d = cfg.k_p * r_e + cfg.k_i * st.integrator
     if cfg.psi_d_limit is not None:
         psi_d = min(max(psi_d, -cfg.psi_d_limit), cfg.psi_d_limit)
@@ -190,6 +200,28 @@ def actuator_mapping(cfg: ControlConfig, u_v: float, u_psi: float) -> tuple[floa
     return u_l, u_r
 
 
+def tick(
+    cfg: ControlConfig,
+    path: ReferencePath,
+    st: ControllerState,
+    r1: float,
+    r2: float,
+    psi: float,
+    dt: float,
+) -> tuple[float, float]:
+    """One control tick: LPC -> heading controller -> actuator mapping.
+
+    Returns the channel duty cycles (u_l, u_r). The LPC correction is applied
+    about the active segment's nominal heading, signed so that a positive
+    body-left cross-track error steers left. For the rectilinear path
+    (heading 0, lateral axis 2) this reduces to the bare PI law on r_e,2.
+    """
+    r_e, _ = lateral_error(path, st, r1, r2)
+    seg = path.segments[st.active_segment]
+    psi_d = wrap_angle(seg.heading + lpc_step(cfg, st, seg.left_normal_sign * r_e, dt))
+    return actuator_mapping(cfg, cfg.u_v, heading_step(cfg, psi_d, psi))
+
+
 def closed_loop_tick(
     cfg: ControlConfig,
     path: ReferencePath,
@@ -199,19 +231,8 @@ def closed_loop_tick(
     psi: float,
     dt: float,
 ) -> ExcitationCommand:
-    """One control tick: LPC -> heading controller -> actuator mapping.
-
-    The LPC correction is applied about the active segment's nominal heading,
-    signed so that a positive body-left cross-track error steers left. For
-    the rectilinear path (heading 0, lateral axis 2) this reduces to the bare
-    PI law on r_e,2.
-    """
-    r_e, _ = lateral_error(path, st, r1, r2)
-    seg = path.segments[st.active_segment]
-    e_left = seg.left_normal_sign * r_e
-    psi_d = wrap_angle(seg.heading + lpc_step(cfg, st, e_left, dt))
-    u_psi = heading_step(cfg, psi_d, psi)
-    u_l, u_r = actuator_mapping(cfg, cfg.u_v, u_psi)
+    """One control tick as an excitation command; see tick."""
+    u_l, u_r = tick(cfg, path, st, r1, r2, psi, dt)
     return ExcitationCommand(
         freq=cfg.freq, dc_left=u_l, dc_right=u_r, on_height=cfg.on_height
     )

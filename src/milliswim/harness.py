@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar
@@ -27,15 +28,11 @@ import numpy as np
 from . import __version__
 from .actuator import (
     ExcitationCommand,
+    Mode,
     average_power,
     default_excursion_table,
 )
-from .control import (
-    ControlConfig,
-    ControllerState,
-    ReferencePath,
-    closed_loop_tick,
-)
+from .control import ControlConfig, ControllerState, ReferencePath, tick
 from .errors import CalibrationRangeError, DomainError
 from .hydro import FluidEnv, PlateMotion, simulate_cycle
 from .metrics import (
@@ -47,7 +44,7 @@ from .metrics import (
     swim_number,
     trajectory_stats,
 )
-from .plant import PlantCalibration, SwimmerState, command_to_rates, measure, step
+from .plant import PlantCalibration, advance, observe, rates
 from .planform import (
     NEW_DESIGN_RDF_HEAD,
     NEW_DESIGN_RDF_TAIL,
@@ -65,6 +62,11 @@ TURN_FREQS = (1.0, 2.0, 3.0, 4.0, 5.0)
 TURN_DCS = tuple(round(k / 100.0, 2) for k in range(5, 16))
 
 PLANT_SUBSTEP_S = 1e-3  # zero-order-hold plant step between control ticks
+STATS_WINDOW_FRAC = 0.8  # tracking stats cover this trailing share of the run
+
+# Trajectory log lines: _fmt's number format, csv.writer's \r\n terminator.
+LOG_HEADER = "t_s,r1_m,r2_m,psi_rad,v_mps,omega_radps,uL,uR\r\n"
+LOG_ROW = ",".join(["%.9g"] * 8) + "\r\n"
 
 
 def _fmt(x: float) -> str:
@@ -99,10 +101,25 @@ class ExperimentConfig:
             raise ValueError("repeats must be at least 1")
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError("noise_sigma must be finite and nonnegative")
+        if self.kind in TRACK_PATHS:
+            n_ticks, dt_tick = _tick_grid(self)
+            if n_ticks < 1:
+                raise ValueError(f"duration {self.duration:g} s is shorter than one control tick")
+            # the same span and window trajectory_stats compares
+            if (n_ticks - 1) * dt_tick < STATS_WINDOW_FRAC * self.duration:
+                raise ValueError(
+                    f"duration {self.duration:g} s is too short: the log would span "
+                    f"{(n_ticks - 1) * dt_tick:g} s, under the "
+                    f"{STATS_WINDOW_FRAC * self.duration:g} s stats window"
+                )
 
     @staticmethod
-    def from_file(path) -> "ExperimentConfig":
-        """Load from a sectioned key-value (INI) file.
+    def from_file(path, **overrides) -> "ExperimentConfig":
+        """Load from a sectioned key-value (INI) file; `overrides` (field ->
+        value) replace the file's values, so the config is built and checked
+        once.
 
         Sections: [run] kind, duration_s, seed, out, repeats;
         [control] kp, ki, kp_psi, uv, umax, freq_hz, loop_hz;
@@ -115,7 +132,7 @@ class ExperimentConfig:
         d = ExperimentConfig()
         cc, fl = d.control, d.fluid
         get, getf, geti = ini.get, ini.getfloat, ini.getint  # fallback when absent
-        return ExperimentConfig(
+        fields = dict(
             kind=get("run", "kind", fallback=d.kind),
             duration=getf("run", "duration_s", fallback=d.duration),
             seed=geti("run", "seed", fallback=d.seed),
@@ -144,6 +161,7 @@ class ExperimentConfig:
             cycle_i_tail=getf("cycle", "i_tail_mm5", fallback=d.cycle_i_tail),
             cycle_n_steps=geti("cycle", "n_steps", fallback=d.cycle_n_steps),
         )
+        return ExperimentConfig(**{**fields, **overrides})
 
     def snapshot(self) -> dict:
         return {
@@ -171,7 +189,8 @@ class ExperimentConfig:
         }
 
 
-def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summary: dict):
+def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summary: dict,
+                    counters: dict | None = None):
     """Write config snapshot and manifest; the manifest lands last (atomic-ish)."""
     snap = out_dir / "config.snapshot.json"
     snap.write_text(json.dumps(cfg.snapshot(), indent=2, sort_keys=True) + "\n")
@@ -182,6 +201,8 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summ
         "files": sorted(files + ["config.snapshot.json"]),
         "summary": summary,
     }
+    if counters is not None:
+        manifest["counters"] = counters
     tmp = out_dir / "manifest.json.tmp"
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     tmp.replace(out_dir / "manifest.json")
@@ -261,68 +282,102 @@ class TrackingResult:
     log_path: Path
     stats: dict
     failed: bool
+    counters: dict
+
+
+def _tick_grid(cfg: ExperimentConfig) -> tuple[int, float]:
+    """(number of control ticks, tick length in s) of a tracking run."""
+    rate = cfg.control.loop_rate
+    return int(round(cfg.duration * rate)), 1.0 / rate
 
 
 def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: Path,
                       rng: np.random.Generator, cal: PlantCalibration) -> TrackingResult:
+    """One closed-loop run on plain floats: observe -> tick -> rates -> log ->
+    advance, then the divergence check, per control tick."""
     cc = cfg.control
-    dt_tick = 1.0 / cc.loop_rate
+    n_ticks, dt_tick = _tick_grid(cfg)
     substeps = max(1, round(dt_tick / PLANT_SUBSTEP_S))
     dt_sub = dt_tick / substeps
-    n_ticks = int(round(cfg.duration * cc.loop_rate))
+    sigma, tau, abort_m = cfg.noise_sigma, cfg.response_time, cfg.abort_error_m
+    freq, u_max = cc.freq, cc.u_max
+    segments = path_obj.segments
 
-    state = SwimmerState()
+    r1 = r2 = psi = v = w = 0.0
     ctrl = ControllerState()
+    log = [array("d") for _ in range(8)]
+    log_t, log_r1, log_r2, log_psi, log_v, log_w, log_ul, log_ur = (c.append for c in log)
+    modes = dict.fromkeys(Mode, 0)
+    sat_l = sat_r = 0
+    switch_times = []
+    seg_idx, seg = 0, segments[0]
+    peak_err = 0.0
     failed = False
-    t_log = np.empty(n_ticks)
-    cols = {k: np.empty(n_ticks) for k in ("r1", "r2", "psi", "v", "omega", "uL", "uR")}
 
     for k in range(n_ticks):
         t = k * dt_tick
-        r1_o, r2_o, psi_o = measure(state, cfg.noise_sigma, rng)
-        cmd = closed_loop_tick(cc, path_obj, ctrl, r1_o, r2_o, psi_o, dt_tick)
-        v_cmd, w_cmd = command_to_rates(cal, cmd)
-        t_log[k] = t
-        cols["r1"][k] = state.r1
-        cols["r2"][k] = state.r2
-        cols["psi"][k] = state.psi
-        cols["v"][k] = state.v
-        cols["omega"][k] = state.omega
-        cols["uL"][k] = cmd.dc_left
-        cols["uR"][k] = cmd.dc_right
-        for _ in range(substeps):
-            state = step(state, v_cmd, w_cmd, dt_sub, response_time=cfg.response_time)
-        seg = path_obj.segments[ctrl.active_segment]
-        r_lat = state.r1 if seg.lateral_axis == 1 else state.r2
-        if abs(seg.target - r_lat) > cfg.abort_error_m:
+        r1_o, r2_o, psi_o = observe(r1, r2, psi, sigma, rng)
+        u_l, u_r = tick(cc, path_obj, ctrl, r1_o, r2_o, psi_o, dt_tick)
+        mode, v_cmd, w_cmd = rates(cal, freq, u_l, u_r)
+        log_t(t)
+        log_r1(r1)
+        log_r2(r2)
+        log_psi(psi)
+        log_v(v)
+        log_w(w)
+        log_ul(u_l)
+        log_ur(u_r)
+        r1, r2, psi, v, w = advance(r1, r2, psi, v, w, v_cmd, w_cmd, dt_sub, substeps, tau)
+        modes[mode] += 1
+        if u_l >= u_max:
+            sat_l += 1
+        if u_r >= u_max:
+            sat_r += 1
+        if ctrl.active_segment != seg_idx:
+            seg_idx = ctrl.active_segment
+            seg = segments[seg_idx]
+            switch_times.append(t)
+        err = abs(seg.target - (r1 if seg.lateral_axis == 1 else r2))
+        if err > peak_err:
+            peak_err = err
+        if err > abort_m:
             failed = True
-            n_ticks = k + 1
-            t_log = t_log[:n_ticks]
-            cols = {name: c[:n_ticks] for name, c in cols.items()}
             break
 
     with open(log_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t_s", "r1_m", "r2_m", "psi_rad", "v_mps", "omega_radps", "uL", "uR"])
-        for k in range(n_ticks):
-            w.writerow([_fmt(t_log[k])] + [
-                _fmt(cols[name][k]) for name in ("r1", "r2", "psi", "v", "omega", "uL", "uR")
-            ])
+        f.write(LOG_HEADER)
+        f.writelines(map(LOG_ROW.__mod__, zip(*log)))
 
+    ticks = len(log[0])
+    counters = {
+        "ticks": ticks,
+        "substeps": ticks * substeps,
+        "saturated_ticks": {"left": sat_l, "right": sat_r},
+        "modes": {m.value: n for m, n in modes.items()},
+        "integrator_clamps": ctrl.integrator_clamps,
+        "segment_switch_times_s": switch_times,
+        "abort_margin_m": abort_m - peak_err,
+    }
     stats: dict = {"failed": failed}
     if not failed:
-        window = 0.8 * cfg.duration
+        t_log, r1_log, r2_log, _, v_log, w_log, _, _ = (
+            np.frombuffer(c, dtype=float) for c in log
+        )
         ts = trajectory_stats(
-            t_log, cols["r1"], cols["r2"], cols["v"], cols["omega"], path_obj, window
+            t_log, r1_log, r2_log, v_log, w_log, path_obj, STATS_WINDOW_FRAC * cfg.duration
         )
         stats.update(ts.as_dict())
         if not math.isnan(ts.mean_turn_rate_radps):
             stats["mean_turn_rate_degps"] = math.degrees(ts.mean_turn_rate_radps)
-    return TrackingResult(log_path=log_path, stats=stats, failed=failed)
+    return TrackingResult(log_path=log_path, stats=stats, failed=failed, counters=counters)
 
 
 def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
-    """Closed-loop maneuver runs (repeat count per cfg.repeats)."""
+    """Closed-loop maneuver runs (repeat count per cfg.repeats).
+
+    The repeats share one generator seeded by cfg.seed, each drawing three
+    normals per tick it runs when noise_sigma > 0.
+    """
     if cfg.kind not in TRACK_PATHS:
         raise ValueError(f"{cfg.kind!r} is not a tracking experiment")
     out = cfg.output_dir
@@ -337,7 +392,8 @@ def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
     summary = {f"test_{i + 1}": r.stats for i, r in enumerate(results)}
     (out / "stats.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_manifest(
-        out, cfg, [r.log_path.name for r in results] + ["stats.json"], summary
+        out, cfg, [r.log_path.name for r in results] + ["stats.json"], summary,
+        counters={f"test_{i + 1}": r.counters for i, r in enumerate(results)},
     )
     return results
 
@@ -413,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     track = sub.add_parser("track", help="closed-loop tracking maneuvers")
     track.add_argument("maneuver", choices=_cli_args("track"))
-    track.add_argument("--repeats", type=int, default=1)
+    track.add_argument("--repeats", type=int, help="number of tests (default: the config's)")
     track.add_argument("--duration", type=float, help="run duration in seconds")
     track.add_argument("--noise-sigma", type=float, help="measurement noise std, m")
 
@@ -477,16 +533,16 @@ def cli_main(argv=None) -> int:
         if args.command == "metrics":
             return _cmd_metrics(args)
 
-        cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
         given = {"seed": args.seed, "output_dir": args.out}
         if args.command == "track":
             given.update(
                 repeats=args.repeats, duration=args.duration, noise_sigma=args.noise_sigma
             )
-        arg = getattr(args, "which", getattr(args, "maneuver", None))
-        cfg = replace(
-            cfg, kind=CLI_KINDS[args.command, arg],
-            **{k: v for k, v in given.items() if v is not None},
+        given = {k: v for k, v in given.items() if v is not None}
+        given["kind"] = CLI_KINDS[args.command, getattr(args, "which", getattr(args, "maneuver", None))]
+        cfg = (
+            ExperimentConfig.from_file(args.config, **given) if args.config
+            else ExperimentConfig(**given)
         )
         out = run_experiment(cfg)
         if args.command != "track":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControllerState, ReferencePath, lateral_error
+from .control import ReferencePath
 from .errors import DomainError
 
 # Swimmer constants used as defaults throughout.
@@ -105,6 +105,33 @@ def _turning_window(omega: np.ndarray, frac: float = 0.8) -> np.ndarray:
     return mask
 
 
+def lateral_errors(path: ReferencePath, r1, r2) -> np.ndarray:
+    """Per-sample lateral error of a logged trajectory, with the segment
+    switching of control.lateral_error replayed from the first sample.
+
+    Segment s is active from the sample at which segment s - 1's waypoint is
+    first crossed (inclusive) up to the first sample at which its own is.
+    """
+    r1 = np.asarray(r1, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    errs = np.empty(r1.size)
+    start = 0
+    last = len(path.segments) - 1
+    for idx, seg in enumerate(path.segments):
+        end = r1.size
+        if idx < last and seg.waypoint is not None:
+            along = (r1 if seg.along_axis == 1 else r2)[start:]
+            crossed = np.flatnonzero(seg.along_sign * (along - seg.waypoint) >= 0.0)
+            if crossed.size:
+                end = start + int(crossed[0])
+        r_lat = r1 if seg.lateral_axis == 1 else r2
+        errs[start:end] = seg.target - r_lat[start:end]
+        if end == r1.size:
+            break
+        start = end
+    return errs
+
+
 def trajectory_stats(
     t: np.ndarray,
     r1: np.ndarray,
@@ -126,11 +153,7 @@ def trajectory_stats(
         raise DomainError("log does not span the requested window")
     sel = t >= t[-1] - window
 
-    st = ControllerState()
-    errs = np.empty(t.size)
-    for k in range(t.size):
-        errs[k], _ = lateral_error(path, st, float(r1[k]), float(r2[k]))
-
+    errs = lateral_errors(path, r1, r2)
     rms = float(np.sqrt(np.mean(errs[sel] ** 2)))
     mean_speed = float(np.mean(v[sel]))
 

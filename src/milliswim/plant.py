@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .actuator import ExcitationCommand, Mode, classify_mode
+from .actuator import ExcitationCommand, Mode, mode_of
 from .errors import CalibrationRangeError
 from .tables import BilinearTable
 
@@ -83,35 +83,77 @@ class PlantCalibration:
             return PlantCalibration.from_csv(sp, tp)
 
 
-def command_to_rates(cal: PlantCalibration, cmd: ExcitationCommand) -> tuple[float, float]:
-    """Steady-state (v m/s, omega rad/s) for an excitation command.
+def rates(
+    cal: PlantCalibration, freq: float, dc_l: float, dc_r: float
+) -> tuple[Mode, float, float]:
+    """Drive mode and steady-state (v m/s, omega rad/s) of a duty-cycle pair.
 
     Bimorph: calibrated forward speed, zero yaw rate. Unimorph: calibrated
     turn rate with forward speed omega * nominal radius. Mixed: speed from the
     mean duty cycle, yaw rate scaled from the dominant channel's unimorph rate
     by the duty-cycle asymmetry.
     """
-    mode = classify_mode(cmd)
+    mode = mode_of(dc_l, dc_r)
     if mode is Mode.IDLE:
-        return 0.0, 0.0
+        return mode, 0.0, 0.0
     if mode is Mode.BIMORPH:
-        return cal.speed_map(cmd.freq, cmd.dc_left) * 1e-3, 0.0
+        return mode, cal.speed_map(freq, dc_l) * 1e-3, 0.0
     if mode is Mode.UNIMORPH_LEFT:
-        w = cal.turn_map_left(cmd.freq, cmd.dc_left) * DEG
-        return abs(w) * cal.turn_radius_left, w
+        w = cal.turn_map_left(freq, dc_l) * DEG
+        return mode, abs(w) * cal.turn_radius_left, w
     if mode is Mode.UNIMORPH_RIGHT:
-        w = cal.turn_map_right(cmd.freq, cmd.dc_right) * DEG
-        return abs(w) * cal.turn_radius_right, w
+        w = cal.turn_map_right(freq, dc_r) * DEG
+        return mode, abs(w) * cal.turn_radius_right, w
     # mixed: linear blend by duty-cycle asymmetry, saturating at the
     # unimorph endpoints
-    asym = (cmd.dc_left - cmd.dc_right) / (cmd.dc_left + cmd.dc_right)
-    dc_dom = max(cmd.dc_left, cmd.dc_right)
+    asym = (dc_l - dc_r) / (dc_l + dc_r)
+    dc_dom = max(dc_l, dc_r)
     if asym > 0:
-        w = asym * cal.turn_map_left(cmd.freq, dc_dom) * DEG
+        w = asym * cal.turn_map_left(freq, dc_dom) * DEG
     else:
-        w = -asym * cal.turn_map_right(cmd.freq, dc_dom) * DEG
-    v = cal.speed_map(cmd.freq, 0.5 * (cmd.dc_left + cmd.dc_right)) * 1e-3
+        w = -asym * cal.turn_map_right(freq, dc_dom) * DEG
+    v = cal.speed_map(freq, 0.5 * (dc_l + dc_r)) * 1e-3
+    return mode, v, w
+
+
+def command_to_rates(cal: PlantCalibration, cmd: ExcitationCommand) -> tuple[float, float]:
+    """Steady-state (v m/s, omega rad/s) for an excitation command; see rates."""
+    _, v, w = rates(cal, cmd.freq, cmd.dc_left, cmd.dc_right)
     return v, w
+
+
+def advance(
+    r1: float, r2: float, psi: float, v: float, w: float,
+    v_cmd: float, w_cmd: float, dt: float, n: int, response_time: float,
+) -> tuple[float, float, float, float, float]:
+    """Advance the pose (r1, r2, psi) and rates (v, w) by n steps of dt with
+    constant commanded rates.
+
+    Per step, rates relax first-order toward the commands (exact
+    discretization); the pose then follows a constant-rate arc, which keeps
+    constant-command trajectories exactly circular. psi is wrapped once per
+    step, from the raw psi + w*dt, as a SwimmerState built from it would be
+    (wrap_angle is not the identity on (-pi, pi]: wrap_angle(1e-20) == 0.0).
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    blend = 1.0 - math.exp(-dt / response_time) if response_time > 0 else None
+    sin, cos = math.sin, math.cos
+    for _ in range(n):
+        if blend is not None:
+            v = v + (v_cmd - v) * blend
+            w = w + (w_cmd - w) * blend
+        else:
+            v, w = v_cmd, w_cmd
+        psi1 = psi + w * dt
+        if abs(w) > 1e-12:
+            r1 = r1 + v / w * (sin(psi1) - sin(psi))
+            r2 = r2 - v / w * (cos(psi1) - cos(psi))
+        else:
+            r1 = r1 + v * cos(psi) * dt
+            r2 = r2 + v * sin(psi) * dt
+        psi = wrap_angle(psi1)
+    return r1, r2, psi, v, w
 
 
 def step(
@@ -121,29 +163,37 @@ def step(
     dt: float,
     response_time: float = 0.0,
 ) -> SwimmerState:
-    """Advance the pose by dt with commanded rates.
+    """Advance the pose by dt with commanded rates (one step of advance)."""
+    r1, r2, psi, v, w = advance(
+        state.r1, state.r2, state.psi, state.v, state.omega,
+        v_cmd, omega_cmd, dt, 1, response_time,
+    )
+    out = SwimmerState(r1=r1, r2=r2, v=v, omega=w)
+    object.__setattr__(out, "psi", psi)  # already wrapped by advance
+    return out
 
-    Rates relax first-order toward the commands (exact discretization);
-    the pose then follows a constant-rate arc over the step, which keeps
-    constant-command trajectories exactly circular.
+
+def observe(
+    r1: float,
+    r2: float,
+    psi: float,
+    noise_sigma: float,
+    rng: np.random.Generator | None = None,
+    heading_scale: float = 0.01,
+) -> tuple[float, float, float]:
+    """Motion-capture style observation of (r1, r2, psi).
+
+    Positions get zero-mean Gaussian noise of std noise_sigma, drawn as one
+    rng.normal(size=3) call; the heading noise is the third draw divided by
+    the marker baseline heading_scale (m). Noiseless passthrough when
+    noise_sigma = 0 or there is no generator.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if response_time > 0:
-        blend = 1.0 - math.exp(-dt / response_time)
-        v = state.v + (v_cmd - state.v) * blend
-        w = state.omega + (omega_cmd - state.omega) * blend
-    else:
-        v, w = v_cmd, omega_cmd
-
-    psi0 = state.psi
-    if abs(w) > 1e-12:
-        r1 = state.r1 + v / w * (math.sin(psi0 + w * dt) - math.sin(psi0))
-        r2 = state.r2 - v / w * (math.cos(psi0 + w * dt) - math.cos(psi0))
-    else:
-        r1 = state.r1 + v * math.cos(psi0) * dt
-        r2 = state.r2 + v * math.sin(psi0) * dt
-    return SwimmerState(r1=r1, r2=r2, psi=psi0 + w * dt, v=v, omega=w)
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be nonnegative")
+    if noise_sigma == 0.0 or rng is None:
+        return r1, r2, psi
+    n1, n2, n3 = rng.normal(0.0, noise_sigma, size=3).tolist()
+    return r1 + n1, r2 + n2, wrap_angle(psi + n3 / heading_scale)
 
 
 def measure(
@@ -152,19 +202,5 @@ def measure(
     rng: np.random.Generator | None = None,
     heading_scale: float = 0.01,
 ) -> tuple[float, float, float]:
-    """Motion-capture style observation of (r1, r2, psi).
-
-    Positions get zero-mean Gaussian noise of std noise_sigma; the heading
-    noise is the position noise divided by the marker baseline heading_scale
-    (m). Noiseless passthrough when noise_sigma = 0.
-    """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
-    if noise_sigma == 0.0 or rng is None:
-        return state.r1, state.r2, state.psi
-    n = rng.normal(0.0, noise_sigma, size=3)
-    return (
-        state.r1 + n[0],
-        state.r2 + n[1],
-        wrap_angle(state.psi + n[2] / heading_scale),
-    )
+    """Observation of a SwimmerState's pose; see observe."""
+    return observe(state.r1, state.r2, state.psi, noise_sigma, rng, heading_scale)

@@ -8,6 +8,7 @@ CalibrationRangeError; there is no silent extrapolation.
 
 from __future__ import annotations
 
+import bisect
 import csv
 
 import numpy as np
@@ -41,6 +42,11 @@ class BilinearTable:
             self.provenance = np.full(self.values.shape, "digitized", dtype=object)
         else:
             self.provenance = np.asarray(provenance, dtype=object)
+        # the lookup reads Python floats: a scalar np.searchsorted costs more
+        # than the whole interpolation
+        self._freqs = tuple(self.freqs.tolist())
+        self._dcs = tuple(self.dcs.tolist())
+        self._rows = tuple(map(tuple, self.values.tolist()))
 
     @classmethod
     def from_csv(
@@ -79,25 +85,26 @@ class BilinearTable:
             )
         return tables
 
-    def _locate(self, axis: np.ndarray, x: float, name: str) -> tuple[int, float]:
+    @staticmethod
+    def _locate(axis: tuple, x: float, name: str) -> tuple[int, float]:
         if not (axis[0] <= x <= axis[-1]):
             raise CalibrationRangeError(
                 f"{name}={x:g} outside calibration range [{axis[0]:g}, {axis[-1]:g}]"
             )
-        i = int(np.searchsorted(axis, x, side="right")) - 1
-        if i == axis.size - 1:  # exactly on the upper edge
+        i = bisect.bisect_right(axis, x) - 1
+        if i == len(axis) - 1:  # exactly on the upper edge
             return i - 1, 1.0
         return i, (x - axis[i]) / (axis[i + 1] - axis[i])
 
     def __call__(self, freq: float, dc: float) -> float:
-        i, u = self._locate(self.freqs, freq, "freq")
-        j, w = self._locate(self.dcs, dc, "dc")
-        v = self.values
-        return float(
-            v[i, j] * (1 - u) * (1 - w)
-            + v[i + 1, j] * u * (1 - w)
-            + v[i, j + 1] * (1 - u) * w
-            + v[i + 1, j + 1] * u * w
+        i, u = self._locate(self._freqs, freq, "freq")
+        j, w = self._locate(self._dcs, dc, "dc")
+        lo, hi = self._rows[i], self._rows[i + 1]
+        return (
+            lo[j] * (1 - u) * (1 - w)
+            + hi[j] * u * (1 - w)
+            + lo[j + 1] * (1 - u) * w
+            + hi[j + 1] * u * w
         )
 
     def node(self, freq: float, dc: float) -> tuple[int, int]:

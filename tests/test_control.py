@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from milliswim.control import (
     heading_step,
     lateral_error,
     lpc_step,
+    tick,
 )
 
 CFG = ControlConfig()
@@ -96,6 +98,24 @@ class TestLpcStep:
         with pytest.raises(ValueError):
             lpc_step(CFG, ControllerState(), 0.01, 0.0)
 
+    def test_integrator_clamps_counted(self):
+        st = ControllerState()
+        bound = CFG.integrator_limit / CFG.k_i
+        n = 0
+        while st.integrator < bound:
+            lpc_step(CFG, st, 0.05, DT)
+            n += 1
+        assert st.integrator == bound
+        assert st.integrator_clamps == 1
+        for _ in range(5):
+            lpc_step(CFG, st, 0.05, DT)
+        assert st.integrator_clamps == 6
+        lpc_step(CFG, st, -0.05, DT)  # back inside the bound
+        assert st.integrator_clamps == 6
+        free = ControllerState()
+        lpc_step(ControlConfig(integrator_limit=None), free, 1e3, DT)
+        assert free.integrator_clamps == 0
+
 
 class TestHeadingStep:
     def test_gain(self):
@@ -170,6 +190,20 @@ class TestClosedLoopTick:
         assert st.active_segment == 1
         assert cmd.dc_left > cmd.dc_right
 
+    def test_command_is_the_float_tick(self):
+        rng = np.random.default_rng(29)
+        for make in (ReferencePath.rectilinear, ReferencePath.left_turn, ReferencePath.right_turn):
+            path = make()
+            for _ in range(300):
+                integ, seg = float(rng.uniform(-1, 1)), int(rng.integers(0, len(path.segments)))
+                pose = [float(x) for x in rng.uniform(-0.1, 0.1, 2)] + [float(rng.uniform(-4, 4))]
+                a, b = ControllerState(integ, seg), ControllerState(integ, seg)
+                cmd = closed_loop_tick(CFG, path, a, *pose, DT)
+                u = tick(CFG, path, b, *pose, DT)
+                assert (cmd.dc_left.hex(), cmd.dc_right.hex()) == (u[0].hex(), u[1].hex())
+                assert a == b
+                assert (cmd.freq, cmd.on_height) == (CFG.freq, CFG.on_height)
+
     def test_duty_cycles_always_admissible(self):
         rng = np.random.default_rng(23)
         path = ReferencePath.rectilinear()
@@ -205,6 +239,17 @@ class TestConfigValidation:
         assert north.left_normal_sign == -1.0
         assert south.left_normal_sign == 1.0
         assert south.along_sign == -1.0
+
+    def test_segment_axes_follow_replace(self):
+        east = PathSegment(heading=0.0, target=0.0, waypoint=1.0)
+        north = dataclasses.replace(east, heading=math.pi / 2)
+        assert (north.lateral_axis, north.along_axis, north.left_normal_sign) == (1, 2, -1.0)
+        assert north == PathSegment(heading=math.pi / 2, target=0.0, waypoint=1.0)
+        assert repr(east) == "PathSegment(heading=0.0, target=0.0, waypoint=1.0)"
+
+    def test_bad_on_height(self):
+        with pytest.raises(ValueError):
+            ControlConfig(on_height=0.0)
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):

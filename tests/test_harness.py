@@ -4,8 +4,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from milliswim.actuator import Mode, classify_mode
+from milliswim.control import ControlConfig, ControllerState, ReferencePath, closed_loop_tick
 from milliswim.harness import (
     CLI_KINDS,
     RUNNERS,
@@ -16,6 +19,7 @@ from milliswim.harness import (
     run_tracking,
     run_turn_sweep,
 )
+from milliswim.plant import PlantCalibration, SwimmerState, command_to_rates, measure, step
 
 # sha256 of the sweep and cycle CSVs of `milliswim --seed 7 sweep ...|cycle`.
 PINNED_SHA256 = {
@@ -28,6 +32,38 @@ PINNED_SHA256 = {
     ("cycle",): ("cycle.csv",
                  "0380e24a7b1639fb99f11acf75e57618765da84c1f8cfbf5015b1b91a3d14bd2"),
 }
+
+
+# sha256 of (trajectory_1.csv, stats.json) of
+# `milliswim --seed 7 track <maneuver> --duration 60 [--noise-sigma 0.0001]`.
+PINNED_TRACK_SHA256 = {
+    ("line", False): ("8ff0c46eac9aa39cdc685b09424b1fab923517c9e770fcca6d21a6445a2fe7a8",
+                      "797e83ac6b5d80ff5df1f658e290b4533b62a7b8adda0a5b5203ae7bc8f21325"),
+    ("line", True): ("2bf09ffb7b6df24bb5f5d8ec34030fbf08e89f20cab5c8eb6ace626126d0b6d7",
+                     "5cb7c8f803f827c6751c0216089a1ede961aa0f7ccbb9c915c796529220a1b3c"),
+    ("left", False): ("b1c2addc7cce4475e62b5fd82a135c6157b6acc48a127438d9e5b34ac6634d09",
+                      "0d9fc204802256a8d964a341c482be1a8cc3ccce04cde945f1e58cbb5d80a06d"),
+    ("left", True): ("b3fb540f365f2700100f3d6be99250affb40a1643d31b78bf52e7d544b6e9285",
+                     "f35c35ac0c6319a59dafdf79c0736b67962b8b6f8ef04d34b31d576bebad0916"),
+    ("right", False): ("fdf9d8a193375f5e784416ad18ffe6b6b610b8bd8c21bd73440a010d1c37ad23",
+                       "1f52bf03b2566c8dee2e10b682d52dbbb9964d3e8e9028f251896457f93da59f"),
+    ("right", True): ("eed0718c4c6eb17230bb89d7bac9906d1ae421fb447e4a8588f12a494ff1480b",
+                      "cd16ee7b0a3e95f23fdb6736bc7bad5eb87794539ecb25a2473bb6dcaf3d3a47"),
+}
+
+# Two noisy right turns sharing one generator: the first aborts at tick 2849,
+# the second runs its 20 s from the stream position the abort left.
+ABORT_CASE = dict(kind="track_right", duration=20.0, seed=5, repeats=2, noise_sigma=1e-4,
+                  abort_error_m=0.0159)
+ABORT_CASE_SHA256 = {
+    "trajectory_1.csv": "049696959833bff92d5dca744eabf0529bdc396c46e9e09ab4053ca7ee2b8ece",
+    "trajectory_2.csv": "7488f4828de5bf2265dada255c80589d29cc0d295ce78e9df69731b0cdf67fbc",
+    "stats.json": "520ac6f9b918bd1571fd1699411bc93ffb48893da17501977a6d148674f34fcf",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def read_rows(path):
@@ -157,6 +193,87 @@ class TestTracking:
         assert 0 < len(rows) < int(30.0 * cfg.control.loop_rate)
 
 
+class TestPinnedTracking:
+    @pytest.mark.parametrize("maneuver, noisy", list(PINNED_TRACK_SHA256),
+                             ids=lambda x: str(x))
+    def test_paper_maneuver_digests(self, tmp_path, capsys, maneuver, noisy):
+        argv = ["--out", str(tmp_path), "--seed", "7", "track", maneuver, "--duration", "60"]
+        assert cli_main(argv + (["--noise-sigma", "0.0001"] if noisy else [])) == 0
+        assert (sha256(tmp_path / "trajectory_1.csv"), sha256(tmp_path / "stats.json")) == (
+            PINNED_TRACK_SHA256[maneuver, noisy])
+
+    def test_repeat_after_abort_digests(self, tmp_path):
+        res = run_tracking(ExperimentConfig(output_dir=tmp_path, **ABORT_CASE))
+        assert [r.failed for r in res] == [True, False]
+        assert {name: sha256(tmp_path / name) for name in ABORT_CASE_SHA256} == ABORT_CASE_SHA256
+
+
+def object_api_run(cfg, path):
+    """The tracking loop written with the object API (SwimmerState, measure,
+    closed_loop_tick, command_to_rates, step): the reference for the log rows
+    and counters of run_tracking."""
+    cal = PlantCalibration.default()
+    rng = np.random.default_rng(cfg.seed)
+    dt = 1.0 / cfg.control.loop_rate
+    state, ctrl = SwimmerState(), ControllerState()
+    rows, modes, switches = [], dict.fromkeys([m.value for m in Mode], 0), []
+    sat, peak = {"left": 0, "right": 0}, 0.0
+    for k in range(int(round(cfg.duration * cfg.control.loop_rate))):
+        seg_before = ctrl.active_segment
+        cmd = closed_loop_tick(cfg.control, path, ctrl, *measure(state, cfg.noise_sigma, rng), dt)
+        v_cmd, w_cmd = command_to_rates(cal, cmd)
+        rows.append((k * dt, state.r1, state.r2, state.psi, state.v, state.omega,
+                     cmd.dc_left, cmd.dc_right))
+        for _ in range(4):
+            state = step(state, v_cmd, w_cmd, dt / 4, response_time=cfg.response_time)
+        modes[classify_mode(cmd).value] += 1
+        sat["left"] += cmd.dc_left >= cfg.control.u_max
+        sat["right"] += cmd.dc_right >= cfg.control.u_max
+        if ctrl.active_segment != seg_before:
+            switches.append(k * dt)
+        seg = path.segments[ctrl.active_segment]
+        peak = max(peak, abs(seg.target - (state.r1 if seg.lateral_axis == 1 else state.r2)))
+    counters = {
+        "ticks": len(rows), "substeps": 4 * len(rows), "saturated_ticks": sat, "modes": modes,
+        "integrator_clamps": ctrl.integrator_clamps, "segment_switch_times_s": switches,
+        "abort_margin_m": cfg.abort_error_m - peak,
+    }
+    return rows, counters
+
+
+class TestCounters:
+    def test_log_and_counters_match_the_object_api_loop(self, tmp_path):
+        # a tight integrator limit so that the clamp counter moves
+        cfg = cfg_for(tmp_path, "track_left", duration=10.0, seed=3, noise_sigma=1e-4,
+                      control=ControlConfig(integrator_limit=2e-3))
+        (res,) = run_tracking(cfg)
+        rows, counters = object_api_run(cfg, ReferencePath.left_turn(corner=0.05))
+        lines = res.log_path.read_bytes().split(b"\r\n")
+        assert lines[1:-1] == [",".join(f"{x:.9g}" for x in r).encode() for r in rows]
+        assert res.counters == counters
+        assert counters["integrator_clamps"] > 0
+        assert len(counters["segment_switch_times_s"]) == 1
+        manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
+        assert manifest["counters"] == {"test_1": json.loads(json.dumps(counters))}
+        # counters stay out of stats.json
+        stats = json.loads((cfg.output_dir / "stats.json").read_text())
+        assert set(stats["test_1"]) == {
+            "failed", "mean_speed_mps", "mean_turn_rate_degps", "mean_turn_rate_radps",
+            "rms_error_m", "turn_radius_m"}
+
+    def test_aborted_run_counts_up_to_the_abort(self, tmp_path):
+        cfg = cfg_for(tmp_path, "track_left", duration=30.0, abort_error_m=1e-3)
+        (res,) = run_tracking(cfg)
+        c = res.counters
+        assert c["ticks"] == len(read_rows(res.log_path))
+        assert c["abort_margin_m"] < 0
+
+    def test_rectilinear_has_no_switch(self, tmp_path):
+        (res,) = run_tracking(cfg_for(tmp_path, "track_rectilinear", duration=3.0))
+        assert res.counters["segment_switch_times_s"] == []
+        assert res.counters["modes"]["bimorph"] == res.counters["ticks"]
+
+
 class TestConfigFile:
     def test_ini_roundtrip(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -272,8 +389,14 @@ class TestCli:
         ("", ["track", "line", "--duration", "0"]),
         ("", ["track", "line", "--duration", "inf"]),
         ("[run]\nrepeats = 0\n", ["cycle"]),
+        ("", ["track", "line", "--noise-sigma", "-0.001"]),
+        ("", ["track", "line", "--noise-sigma", "nan"]),
+        ("[plant]\nnoise_sigma_m = -1e-4\n", ["track", "left"]),
+        ("", ["track", "line", "--duration", "1e-4"]),
+        ("", ["track", "right", "--duration", "0.01"]),
     ], ids=["ini-duration", "repeats-0", "repeats-neg", "duration-nan", "duration-0",
-            "duration-inf", "ini-repeats"])
+            "duration-inf", "ini-repeats", "noise-neg", "noise-nan", "ini-noise-neg",
+            "duration-under-a-tick", "duration-under-the-stats-window"])
     def test_invalid_final_config_exit_1(self, tmp_path, capsys, ini, argv):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(ini)
@@ -281,6 +404,25 @@ class TestCli:
         assert cli_main(["--config", str(cfg), "--out", str(out), *argv]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_ini_repeats_take_effect(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[run]\nrepeats = 2\nduration_s = 2\n")
+        out = tmp_path / "run"
+        assert cli_main(["--config", str(ini), "--out", str(out), "track", "line"]) == 0
+        assert (out / "trajectory_2.csv").exists()
+        assert not (out / "trajectory_3.csv").exists()
+        # a given flag still overrides the file
+        out1 = tmp_path / "run1"
+        assert cli_main(["--config", str(ini), "--out", str(out1), "track", "line",
+                         "--repeats", "1"]) == 0
+        assert not (out1 / "trajectory_2.csv").exists()
+
+    def test_short_duration_allowed_for_other_kinds(self, tmp_path, capsys):
+        # the tick and stats-window checks apply to tracking runs only
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[run]\nduration_s = 1e-4\n[cycle]\nn_steps = 200\n")
+        assert cli_main(["--config", str(ini), "--out", str(tmp_path / "c"), "cycle"]) == 0
 
     def test_overrides_reach_the_config(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from milliswim.control import ReferencePath
+from hypothesis import given, settings, strategies as st
+
+from milliswim.control import ControllerState, PathSegment, ReferencePath, lateral_error
 from milliswim.errors import DomainError
 from milliswim.harness import cli_main
 from milliswim.metrics import (
     SwimmerSpec,
     cost_of_transport,
     format_table,
+    lateral_errors,
     reynolds,
     strouhal,
     swim_number,
@@ -174,3 +177,35 @@ class TestTrajectoryStats:
         t, r1, r2, v, w = straight_log(n=11)
         with pytest.raises(DomainError):
             trajectory_stats(t, r1, r2, v, w, ReferencePath.rectilinear(), 10.0)
+
+
+def replayed_errors(path, r1, r2):
+    """Per-sample lateral_error replay: the reference lateral_errors must match."""
+    st_ = ControllerState()
+    return [lateral_error(path, st_, float(a), float(b))[0] for a, b in zip(r1, r2)]
+
+
+PATHS = [
+    ReferencePath.rectilinear(length=0.01),
+    ReferencePath.left_turn(corner=0.01, leg=0.02),
+    ReferencePath.right_turn(corner=0.01, leg=0.02),
+    ReferencePath((  # a terminal-less middle segment stops the switching
+        PathSegment(0.0, 0.0, 0.01), PathSegment(math.pi / 2, 0.01), PathSegment(0.0, 0.02),
+    )),
+    ReferencePath((  # three legs: east, north, west
+        PathSegment(0.0, 0.0, 0.01), PathSegment(math.pi / 2, 0.01, 0.01),
+        PathSegment(math.pi, 0.01, 0.0),
+    )),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(PATHS),
+    st.lists(st.tuples(st.floats(-0.03, 0.03), st.floats(-0.03, 0.03)), max_size=60),
+)
+def test_lateral_errors_match_replay(path, pts):
+    r1 = np.array([p[0] for p in pts])
+    r2 = np.array([p[1] for p in pts])
+    got = lateral_errors(path, r1, r2)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in replayed_errors(path, r1, r2)]

@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from milliswim.actuator import ExcitationCommand
+from milliswim.actuator import ExcitationCommand, classify_mode
 from milliswim.errors import CalibrationRangeError
 from milliswim.plant import (
     DEG,
     PlantCalibration,
     SwimmerState,
+    advance,
     command_to_rates,
     measure,
+    observe,
+    rates,
     step,
     wrap_angle,
 )
@@ -190,6 +193,73 @@ class TestMeasure:
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
             measure(SwimmerState(), -1e-3)
+
+
+def reference_step(state, v_cmd, omega_cmd, dt, response_time):
+    """One exact-arc step through SwimmerState, whose constructor wraps psi:
+    the object form that advance must reproduce bit for bit."""
+    if response_time > 0:
+        blend = 1.0 - math.exp(-dt / response_time)
+        v = state.v + (v_cmd - state.v) * blend
+        w = state.omega + (omega_cmd - state.omega) * blend
+    else:
+        v, w = v_cmd, omega_cmd
+    psi0 = state.psi
+    if abs(w) > 1e-12:
+        r1 = state.r1 + v / w * (math.sin(psi0 + w * dt) - math.sin(psi0))
+        r2 = state.r2 - v / w * (math.cos(psi0 + w * dt) - math.cos(psi0))
+    else:
+        r1 = state.r1 + v * math.cos(psi0) * dt
+        r2 = state.r2 + v * math.sin(psi0) * dt
+    return SwimmerState(r1=r1, r2=r2, psi=psi0 + w * dt, v=v, omega=w)
+
+
+def bits(*xs):
+    return [float(x).hex() for x in xs]
+
+
+class TestFloatKernels:
+    """The object API delegates to the float kernels and matches them, and the
+    SwimmerState form of a step, bit for bit."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_advance_matches_chained_steps(self, tau):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            # positions near the origin, so the last bits of each increment show
+            s = SwimmerState(*rng.uniform(-1e-5, 1e-5, 2), psi=rng.uniform(-4, 4),
+                             v=rng.uniform(0, 0.02), omega=rng.uniform(-0.5, 0.5))
+            v_cmd, w_cmd = rng.uniform(0, 0.02), rng.choice([0.0, 1e-13, rng.uniform(-0.5, 0.5)])
+            ref = s
+            for _ in range(4):
+                ref = reference_step(ref, v_cmd, w_cmd, 1e-3, tau)
+            got = advance(s.r1, s.r2, s.psi, s.v, s.omega, v_cmd, w_cmd, 1e-3, 4, tau)
+            assert bits(*got) == bits(ref.r1, ref.r2, ref.psi, ref.v, ref.omega)
+            one = step(s, v_cmd, w_cmd, 1e-3, response_time=tau)
+            ref1 = reference_step(s, v_cmd, w_cmd, 1e-3, tau)
+            assert bits(one.r1, one.r2, one.psi, one.v, one.omega) == bits(
+                ref1.r1, ref1.r2, ref1.psi, ref1.v, ref1.omega)
+
+    def test_command_to_rates_is_rates(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            f = float(rng.uniform(1.0, 5.0))
+            dl, dr = (float(x) for x in rng.choice([0.0, 0.05, 0.11, 0.15], 2))
+            if rng.uniform() < 0.5:
+                dl, dr = (float(x) for x in rng.uniform(0.05, 0.15, 2))
+            mode, v, w = rates(CAL, f, dl, dr)
+            cmd = ExcitationCommand(f, dl, dr)
+            assert mode is classify_mode(cmd)
+            assert bits(*command_to_rates(CAL, cmd)) == bits(v, w)
+
+    def test_measure_is_observe(self):
+        s = SwimmerState(r1=0.01, r2=-0.02, psi=3.1)
+        a = measure(s, 1e-3, np.random.default_rng(4))
+        b = observe(s.r1, s.r2, s.psi, 1e-3, np.random.default_rng(4))
+        assert bits(*a) == bits(*b)
+        # one size-3 normal draw per observation
+        n = np.random.default_rng(4).normal(0.0, 1e-3, size=3)
+        assert bits(*a) == bits(s.r1 + n[0], s.r2 + n[1], wrap_angle(s.psi + n[2] / 0.01))
 
 
 def write_grid(path, side_values):

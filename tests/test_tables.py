@@ -2,8 +2,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milliswim.errors import CalibrationRangeError
+from milliswim.plant import PlantCalibration
 from milliswim.tables import BilinearTable
 
 
@@ -77,3 +79,70 @@ class TestFromCsv:
             t(2.5, 0.05)
         with pytest.raises(CalibrationRangeError):
             t.node(1.5, 0.05)
+
+
+# ------------------------------------------------ lookup vs the numpy formula
+
+
+def searchsorted_lookup(t: BilinearTable, freq: float, dc: float) -> float:
+    """The lookup as an np.searchsorted formula on the numpy axes: the
+    reference __call__ must match bit for bit."""
+    def locate(axis, x):
+        assert axis[0] <= x <= axis[-1]
+        i = int(np.searchsorted(axis, x, side="right")) - 1
+        if i == axis.size - 1:
+            return i - 1, 1.0
+        return i, (x - axis[i]) / (axis[i + 1] - axis[i])
+
+    i, u = locate(t.freqs, freq)
+    j, w = locate(t.dcs, dc)
+    v = t.values
+    return float(
+        v[i, j] * (1 - u) * (1 - w)
+        + v[i + 1, j] * u * (1 - w)
+        + v[i, j + 1] * (1 - u) * w
+        + v[i + 1, j + 1] * u * w
+    )
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def table_and_point(draw):
+    axes = [
+        sorted(draw(st.sets(st.floats(0.0, 10.0, allow_nan=False), min_size=2, max_size=6)))
+        for _ in range(2)
+    ]
+    values = [[draw(finite) for _ in axes[1]] for _ in axes[0]]
+    t = BilinearTable(axes[0], axes[1], values)
+    where = draw(st.sampled_from(["inside", "node", "upper freq", "upper dc", "corner"]))
+    if where == "node":
+        f, d = draw(st.sampled_from(axes[0])), draw(st.sampled_from(axes[1]))
+    else:
+        f = draw(st.floats(axes[0][0], axes[0][-1]))
+        d = draw(st.floats(axes[1][0], axes[1][-1]))
+        if where in ("upper freq", "corner"):
+            f = axes[0][-1]
+        if where in ("upper dc", "corner"):
+            d = axes[1][-1]
+    return t, f, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_and_point())
+def test_lookup_matches_searchsorted_formula(case):
+    t, f, d = case
+    assert t(f, d).hex() == searchsorted_lookup(t, f, d).hex()
+
+
+CAL = PlantCalibration.default()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_calibration_lookups_match_searchsorted_formula(data):
+    t = data.draw(st.sampled_from([CAL.speed_map, CAL.turn_map_left, CAL.turn_map_right]))
+    f = data.draw(st.floats(float(t.freqs[0]), float(t.freqs[-1])) | st.sampled_from(list(t.freqs)))
+    d = data.draw(st.floats(float(t.dcs[0]), float(t.dcs[-1])) | st.sampled_from(list(t.dcs)))
+    assert t(float(f), float(d)).hex() == searchsorted_lookup(t, float(f), float(d)).hex()
