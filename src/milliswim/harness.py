@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError("noise_sigma must be finite and nonnegative")
+        if not (math.isfinite(self.abort_error_m) and self.abort_error_m > 0):
+            raise ValueError("abort_error_m must be finite and positive")
         if self.kind in TRACK_PATHS:
             n_ticks, dt_tick = _tick_grid(self)
             if n_ticks < 1:

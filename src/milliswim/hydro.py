@@ -113,9 +113,13 @@ def balanced_head_amplitude(report: RdfReport, tail_motion: PlateMotion) -> floa
 
     Solves (amp^2 / 2) * I_h = <w_t^2> * I_t for amp.
     """
+    return _balanced_amplitude(report, tail_motion.mean_square())
+
+
+def _balanced_amplitude(report: RdfReport, mean_sq_t: float) -> float:
     if report.i_head <= 0:
         raise InvalidPlanformError("head RDF must be positive")
-    return math.sqrt(2.0 * tail_motion.mean_square() * report.i_tail / report.i_head)
+    return math.sqrt(2.0 * mean_sq_t * report.i_tail / report.i_head)
 
 
 @dataclass
@@ -171,11 +175,16 @@ def default_yaw_inertia(env: FluidEnv, rdfs: RdfReport, tail_motion: PlateMotion
     <w_h^2> stays below 0.5%, and the rate remains RK4-stable at the default
     1000 steps/period.
     """
-    amp_h = balanced_head_amplitude(rdfs, tail_motion)
+    return _yaw_inertia(env, rdfs, tail_motion.period, tail_motion.mean_square())
+
+
+def _yaw_inertia(env: FluidEnv, rdfs: RdfReport, period: float, mean_sq_t: float) -> float:
+    """default_yaw_inertia for a tail motion whose <w_t^2> is mean_sq_t."""
+    amp_h = _balanced_amplitude(rdfs, mean_sq_t)
     if amp_h == 0.0:
         return 1e-12
     damping = env.rho * env.c_d * rdfs.i_head * MM5_TO_M5 * amp_h
-    return damping * tail_motion.period / 600.0
+    return damping * period / 600.0
 
 
 def simulate_cycle(
@@ -203,31 +212,34 @@ def simulate_cycle(
         if head is None or tail is None:
             raise ValueError("either planforms or an RdfReport must be provided")
         rdfs = rdf_report(head, tail)
+    period = tail_motion.period
+    mean_sq_t = tail_motion.mean_square()
     if yaw_inertia is None:
-        yaw_inertia = default_yaw_inertia(env, rdfs, tail_motion)
+        yaw_inertia = _yaw_inertia(env, rdfs, period, mean_sq_t)
     if yaw_inertia <= 0:
         raise ValueError("yaw_inertia must be positive")
 
     i_h = rdfs.i_head * MM5_TO_M5
     i_t = rdfs.i_tail * MM5_TO_M5
     half_rho_cd = 0.5 * env.rho * env.c_d
-    period = tail_motion.period
     dt = period / n_steps
     omega_t_fn = tail_motion.omega_fn
 
-    def deriv(t, w_h):
-        w_t = omega_t_fn(t)
-        tau_b = half_rho_cd * (w_t * abs(w_t) * i_t - w_h * abs(w_h) * i_h)
-        return tau_b / yaw_inertia
-
     def rk4_step(t, w):
-        k1 = deriv(t, w)
-        k2 = deriv(t + 0.5 * dt, w + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, w + 0.5 * dt * k2)
-        k4 = deriv(t + dt, w + dt * k3)
+        # slope = half_rho_cd * (w_t*|w_t|*i_t - w*|w|*i_h) / yaw_inertia;
+        # k2 and k3 share the midpoint tail rate
+        a, b, c = omega_t_fn(t), omega_t_fn(t + 0.5 * dt), omega_t_fn(t + dt)
+        drive_a, drive_b, drive_c = a * abs(a) * i_t, b * abs(b) * i_t, c * abs(c) * i_t
+        k1 = half_rho_cd * (drive_a - w * abs(w) * i_h) / yaw_inertia
+        w2 = w + 0.5 * dt * k1
+        k2 = half_rho_cd * (drive_b - w2 * abs(w2) * i_h) / yaw_inertia
+        w3 = w + 0.5 * dt * k2
+        k3 = half_rho_cd * (drive_b - w3 * abs(w3) * i_h) / yaw_inertia
+        w4 = w + dt * k3
+        k4 = half_rho_cd * (drive_c - w4 * abs(w4) * i_h) / yaw_inertia
         return w + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
-    scale = math.sqrt(tail_motion.mean_square()) or 1.0
+    scale = math.sqrt(mean_sq_t) or 1.0
     w = 0.0
     converged_at = None
     for k in range(max_periods):

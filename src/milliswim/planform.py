@@ -23,10 +23,13 @@ NEW_DESIGN_RDF_TAIL = 1.07e4
 OLD_DESIGN_RDF_HEAD = 1.88e4
 OLD_DESIGN_RDF_TAIL = 2.19e4
 
-# Adaptive Simpson controls for the RDF quadrature: per-panel relative
-# tolerance and recursion depth.
-SIMPSON_REL_TOL = 1e-9
-SIMPSON_MAX_DEPTH = 40
+# Adaptive RDF quadrature controls: the relative error a panel may keep, and
+# how many times a panel may be bisected before it is accepted as it is.
+RDF_PANEL_REL_TOL = 1e-9
+RDF_MAX_BISECTIONS = 40
+
+# 3-point Gauss-Legendre node offset, as a share of the panel half-width.
+_GAUSS_NODE = math.sqrt(0.6)
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,8 @@ class Planform:
 
     chord_fn maps span position x (mm) to chord height (mm); the span runs
     over [-l1, l2] with the rotation axis at x = 0. kinks lists the x values
-    where the chord's slope jumps (the knots of a tabulated chord); the RDF
-    quadrature splits its panels there.
+    where the chord's slope jumps (the knots of a tabulated chord, a clipped
+    parabola's clip point); the RDF quadrature splits its panels there.
     """
 
     chord_fn: Callable[[float], float]
@@ -59,12 +62,15 @@ class Planform:
 
     @staticmethod
     def parabola(height: float, root: float, l1: float = 0.0, label: str = "tail") -> "Planform":
-        """Parabolic chord h(x) = height * (1 - (x/root)^2), clipped at zero."""
+        """Parabolic chord h(x) = height * (1 - (x/root)^2), clipped at zero.
+
+        With l1 > root the chord is 0 on [-l1, -root]; -root is then a kink.
+        """
 
         def h(x, h0=float(height), r=float(root)):
             return max(0.0, h0 * (1.0 - (x / r) ** 2))
 
-        return Planform(h, l1, root, label)
+        return Planform(h, l1, root, label, kinks=(-float(root),) if l1 > root else ())
 
     @staticmethod
     def tabulated(points, l1: float, l2: float, label: str = "tail") -> "Planform":
@@ -151,40 +157,41 @@ def chord_at(p: Planform, x: float) -> float:
     return float(h)
 
 
-def _adaptive_simpson(f, a, b):
-    """Adaptive composite Simpson on [a, b], a < b."""
+def _adaptive_gauss(f, a, b):
+    """Adaptive 3-point Gauss-Legendre on [a, b], a < b.
 
-    def simpson(fa, fm, fb, a_, b_):
-        return (b_ - a_) / 6.0 * (fa + 4.0 * fm + fb)
+    A panel is accepted when its two halves agree with it to the tolerance;
+    err/63 is the Richardson correction for the rule's degree-6 error.
+    """
 
-    def recurse(a_, b_, fa, fm, fb, whole, depth):
+    def gauss(a_, b_):
+        c, r = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
+        d = r * _GAUSS_NODE
+        return r * (5.0 * f(c - d) + 8.0 * f(c) + 5.0 * f(c + d)) / 9.0
+
+    def recurse(a_, b_, whole, depth):
         m = 0.5 * (a_ + b_)
-        lm, rm = 0.5 * (a_ + m), 0.5 * (m + b_)
-        flm, frm = f(lm), f(rm)
-        left = simpson(fa, flm, fm, a_, m)
-        right = simpson(fm, frm, fb, m, b_)
+        left, right = gauss(a_, m), gauss(m, b_)
         err = left + right - whole
         scale = max(abs(left + right), 1e-300)
-        if depth <= 0 or abs(err) <= 15.0 * SIMPSON_REL_TOL * scale:
-            return left + right + err / 15.0
-        return recurse(a_, m, fa, flm, fm, left, depth - 1) + recurse(
-            m, b_, fm, frm, fb, right, depth - 1
-        )
+        if depth <= 0 or abs(err) <= 63.0 * RDF_PANEL_REL_TOL * scale:
+            return left + right + err / 63.0
+        return recurse(a_, m, left, depth - 1) + recurse(m, b_, right, depth - 1)
 
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return recurse(a, b, fa, fm, fb, simpson(fa, fm, fb, a, b), SIMPSON_MAX_DEPTH)
+    return recurse(a, b, gauss(a, b), RDF_MAX_BISECTIONS)
 
 
 def resistive_drag_factor(p: Planform) -> float:
     """RDF = integral of h(x)*|x|^3 dx over [-l1, l2], in mm^5.
 
-    Runs adaptive Simpson over the panels between consecutive points of
-    {-l1, 0, l2} and the chord's kinks strictly inside the span, so neither
-    the |x|^3 kink at the axis nor a chord kink lies inside a panel. On each
-    linear piece of a chord the integrand is a quartic, which Simpson with
-    its Richardson step integrates exactly.
+    Runs adaptive 3-point Gauss-Legendre over the panels between consecutive
+    points of {-l1, 0, l2} and the chord's kinks strictly inside the span, so
+    neither the |x|^3 kink at the axis nor a chord kink lies inside a panel.
+    Where the chord is a polynomial of degree <= 2 on a panel (rectangle,
+    parabola, each linear piece of a tabulated chord) the integrand has degree
+    <= 5, which the rule integrates exactly: the panel is accepted after 9
+    chord evaluations. The nodes are interior, so neither the axis nor a span
+    end is ever evaluated.
     """
 
     def integrand(x):
@@ -195,7 +202,7 @@ def resistive_drag_factor(p: Planform) -> float:
 
     inner = (k for k in p.kinks if -p.l1 < k < p.l2)
     edges = sorted({-p.l1, 0.0, p.l2, *inner})
-    return math.fsum(_adaptive_simpson(integrand, a, b) for a, b in zip(edges, edges[1:]))
+    return math.fsum(_adaptive_gauss(integrand, a, b) for a, b in zip(edges, edges[1:]))
 
 
 def rdf_report(head: Planform, tail: Planform) -> RdfReport:

@@ -307,6 +307,12 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             ExperimentConfig(kind="swim_backwards")
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_abort_bound_rejected(self, bound):
+        # a NaN bound would never abort: err > nan is always false
+        with pytest.raises(ValueError, match="abort_error_m"):
+            ExperimentConfig(abort_error_m=bound)
+
     def test_kinds_are_the_runner_table(self):
         assert ExperimentConfig.KINDS == tuple(RUNNERS)
         assert set(CLI_KINDS.values()) == set(RUNNERS)

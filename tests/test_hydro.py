@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from milliswim.hydro import (
     FluidEnv,
     PlateMotion,
     balanced_head_amplitude,
+    default_yaw_inertia,
     drag_force_per_length,
     net_body_torque,
     reactive_torque,
@@ -171,6 +173,50 @@ class TestSimulateCycle:
         m = PlateMotion.sinusoid(1.0, 2.0)
         with pytest.raises(ValueError):
             simulate_cycle(FluidEnv(), None, None, m, rdfs=NEW_RDFS, n_steps=50)
+
+
+
+def _cycle_digest(res):
+    h = hashlib.sha256()
+    for a in (res.t, res.omega_h, res.omega_t, res.tau_rh, res.tau_rt, res.tau_b):
+        h.update(a.tobytes())
+    h.update(str(res.periods_to_converge).encode())
+    return h.hexdigest()
+
+
+def _pinned_cycle_cases():
+    """name -> (tail motion, extra simulate_cycle arguments)."""
+    cases = {}
+    for seed in (3, 17, 42):
+        rng = np.random.default_rng(seed)
+        freq, amp = rng.uniform(0.5, 5.0), rng.uniform(0.2, 3.0)
+        cases[f"seed{seed}"] = PlateMotion.sinusoid(amp, freq), {}
+    m = PlateMotion.sinusoid(1.3, 2.5)
+    cases["inertia"] = m, {"yaw_inertia": 40.0 * default_yaw_inertia(FluidEnv(), NEW_RDFS, m)}
+    m = PlateMotion.sinusoid(0.8, 1.7)
+    cases["n100"] = m, {
+        "n_steps": 100, "yaw_inertia": 10.0 * default_yaw_inertia(FluidEnv(), NEW_RDFS, m)}
+    cases["excursion"] = tail_motion_from_excursion(6.34, 2.0), {}
+    return cases
+
+
+# sha256 over the six CycleResult arrays (.tobytes()) and periods_to_converge,
+# recorded before the RK4 step was rewritten: every array stays bit-identical.
+PINNED_CYCLES = {
+    "seed3": (2, "6bcfca7e0c23444a7954429b88c71c3ddc1a19f7fe31bcd78e22881ba132bc46"),
+    "seed17": (2, "6c71424c49b401cf9f056147e7e7be5b5c3c8e4a1be390119d46ae1c437720e1"),
+    "seed42": (2, "f81c72e816878f7f0a886e7405e936ac8495b05219ddc84bb246fa12aaf5503b"),
+    "inertia": (4, "d26823c33808b48ba0085b4913504551218971f7e54ec3cc6f0566f097338ae7"),
+    "n100": (2, "33a029d1eed9050e9521e59a126a206766f489477593b3d443dc0b2db947c6a3"),
+    "excursion": (2, "486edeffe506ee1489ba64edc2c06500186642ba6a6996eb1b7cf02b7967649a"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CYCLES)
+def test_cycle_arrays_pinned(name):
+    motion, kwargs = _pinned_cycle_cases()[name]
+    res = simulate_cycle(FluidEnv(), None, None, motion, rdfs=NEW_RDFS, **kwargs)
+    assert (res.periods_to_converge, _cycle_digest(res)) == PINNED_CYCLES[name]
 
 
 class TestTailMotionFromExcursion:

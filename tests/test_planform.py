@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from milliswim import planform
 from milliswim.errors import DomainError, InvalidPlanformError
 from milliswim.planform import (
     NEW_DESIGN_RDF_HEAD,
@@ -49,6 +51,47 @@ def exact_tabulated_rdf(knots, l1, l2):
             if b > a:
                 total += (prim(b) - prim(a)) * (-1 if b <= 0 else 1)
     return float(total)
+
+
+def exact_parabola_rdf(height, root, l1):
+    """Closed form of the clipped parabola's RDF, in rationals."""
+    h, r = Fraction(height), Fraction(root)
+    a = min(Fraction(l1), r)  # the chord is 0 beyond x = -root
+    return float(h * (r**4 / 12 + a**4 / 4 - a**6 / (6 * r**2)))
+
+
+def counted_rdf(monkeypatch, p):
+    """resistive_drag_factor(p) and the x of every chord evaluation it made."""
+    xs = []
+    real = planform.chord_at
+
+    def counting(p_, x):
+        xs.append(x)
+        return real(p_, x)
+
+    monkeypatch.setattr(planform, "chord_at", counting)
+    return resistive_drag_factor(p), xs
+
+
+span_mm = st.floats(0.0, 25.0)
+height_mm = st.floats(0.5, 25.0)
+
+
+@st.composite
+def tabulated_knots(draw):
+    """(knots, l1, l2): knots at least 1 nm apart whose x values cover [-l1, l2]."""
+    l1, l2 = draw(span_mm), draw(st.floats(0.5, 25.0))
+    inner = sorted(draw(st.lists(st.floats(-l1, l2), max_size=12)))
+    xs = [-l1 - draw(st.floats(0.0, 2.0))]
+    for x in inner:
+        if x - xs[-1] >= 1e-6:
+            xs.append(x)
+    hi = l2 + draw(st.floats(0.0, 2.0))
+    if hi - xs[-1] < 1e-6:
+        xs.pop()
+    xs.append(hi)
+    hs = draw(st.lists(st.floats(0.1, 10.0), min_size=len(xs), max_size=len(xs)))
+    return list(zip(xs, hs)), l1, l2
 
 
 class TestChordAt:
@@ -124,6 +167,78 @@ class TestResistiveDragFactor:
         spans = {"l1": 1.0, "l2": 1.0, side: bad}
         with pytest.raises(InvalidPlanformError, match="finite"):
             Planform.rectangle(1.0, spans["l1"], spans["l2"])
+
+
+class TestClosedForms:
+    """The 3-point Gauss-Legendre rule is exact for chords of degree <= 2 per panel."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(height_mm, span_mm, span_mm)
+    def test_rectangle(self, h, l1, l2):
+        assume(l1 + l2 > 0)
+        exact = float(Fraction(h) * (Fraction(l1) ** 4 + Fraction(l2) ** 4) / 4)
+        p = Planform.rectangle(h, l1, l2)
+        assert resistive_drag_factor(p) == pytest.approx(exact, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(height_mm, st.floats(2.0, 25.0), st.floats(0.0, 2.0))
+    def test_parabola(self, height, root, frac):
+        # frac > 1 clips the chord to 0 on [-l1, -root]
+        l1 = frac * root
+        p = Planform.parabola(height, root, l1)
+        assert resistive_drag_factor(p) == pytest.approx(
+            exact_parabola_rdf(height, root, l1), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tabulated_knots())
+    def test_tabulated(self, case):
+        knots, l1, l2 = case
+        p = Planform.tabulated(knots, l1, l2)
+        assert resistive_drag_factor(p) == pytest.approx(
+            exact_tabulated_rdf(knots, l1, l2), rel=1e-12)
+
+
+class TestChordEvaluationBudget:
+    @pytest.mark.parametrize("p, budget", [
+        (Planform.rectangle(3.0, 5.0, 7.0), 18),
+        (Planform.rectangle(3.0, 0.0, 7.0), 9),
+        (Planform.parabola(8.0, 12.0), 9),
+        (Planform.parabola(8.0, 12.0, 5.0), 18),
+        (Planform.parabola(4.0, 10.0, 14.0), 27),  # three panels: the clip is a kink
+    ], ids=["rectangle", "one-sided-rectangle", "parabola", "parabola-l1",
+            "clipped-parabola"])
+    def test_smooth_chords(self, monkeypatch, p, budget):
+        _, xs = counted_rdf(monkeypatch, p)
+        assert len(xs) <= budget
+        # Gauss nodes are interior: never the axis nor a span end
+        assert not {0.0, -p.l1, p.l2} & set(xs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tabulated_nine_per_panel(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        xs = np.sort(rng.uniform(-6.0, 18.0, 14))
+        xs[0], xs[-1] = -6.0, 18.0
+        p = Planform.tabulated(list(zip(xs, rng.uniform(0.5, 10.0, 14))), 6.0, 18.0)
+        n_panels = len({-6.0, 0.0, 18.0, *xs}) - 1
+        _, evals = counted_rdf(monkeypatch, p)
+        assert len(evals) <= 9 * n_panels
+
+    def test_non_polynomial_chord_stays_adaptive(self, monkeypatch):
+        def chord(x):
+            return math.exp(-x * x / 50.0) + 0.5
+
+        l1, l2 = 7.0, 15.0
+        # 64-point Gauss-Legendre per side of the axis: the integrand is
+        # analytic there, so this converges to rounding
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        ref = 0.0
+        for a, b in ((-l1, 0.0), (0.0, l2)):
+            x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+            ref += 0.5 * (b - a) * float(np.sum(
+                weights * (np.exp(-x * x / 50.0) + 0.5) * np.abs(x) ** 3))
+        value, xs = counted_rdf(monkeypatch, Planform(chord, l1, l2))
+        assert value == pytest.approx(ref, rel=1e-9)
+        assert len(xs) > 18  # bisected beyond the first pass
 
 
 class TestRdfReport:
@@ -212,6 +327,8 @@ class TestTabulated:
         assert p.kinks == (-5.0, 0.0, 10.0)
         assert Planform.rectangle(1.0, 1.0, 1.0).kinks == ()
         assert Planform.parabola(8.0, 12.0).kinks == ()
+        assert Planform.parabola(4.0, 10.0, 10.0).kinks == ()
+        assert Planform.parabola(4.0, 10.0, 14.0).kinks == (-10.0,)  # the clip point
 
     def test_flat_chord_matches_rectangle(self):
         knots = [(-4.0, 3.0), (9.0, 3.0)]
