@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .actuator import DEFAULT_ON_HEIGHT_V, ExcitationCommand
+from .actuator import ExcitationCommand
 from .plant import wrap_angle
 
 
@@ -31,19 +31,18 @@ class ControlConfig:
     u_max: float = 0.22       # per-unit duty saturation bound
     freq: float = 3.0         # Hz, actuation frequency
     loop_rate: float = 250.0  # Hz, controller tick rate
-    on_height: float = DEFAULT_ON_HEIGHT_V
     # Beyond the basic law: windup/demand safeguards, configurable and
     # disable-able (set to None) for the bare control law.
     psi_d_limit: float | None = math.pi / 2          # clamp on the LPC output
     integrator_limit: float | None = math.pi / 4     # clamp on |k_i * integral|
 
     def __post_init__(self):
-        if min(self.k_p, self.k_i, self.k_p_psi) < 0:
-            raise ValueError("gains must be nonnegative")
+        if not all(0 <= g < math.inf for g in (self.k_p, self.k_i, self.k_p_psi)):
+            raise ValueError("gains must be finite and nonnegative")
         if not 0.0 < self.u_v <= self.u_max <= 1.0:
             raise ValueError("require 0 < u_v <= u_max <= 1")
-        if self.loop_rate <= 0 or self.freq <= 0 or self.on_height <= 0:
-            raise ValueError("freq, loop_rate and on_height must be positive")
+        if not (0 < self.loop_rate < math.inf and 0 < self.freq < math.inf):
+            raise ValueError("freq and loop_rate must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -233,6 +232,4 @@ def closed_loop_tick(
 ) -> ExcitationCommand:
     """One control tick as an excitation command; see tick."""
     u_l, u_r = tick(cfg, path, st, r1, r2, psi, dt)
-    return ExcitationCommand(
-        freq=cfg.freq, dc_left=u_l, dc_right=u_r, on_height=cfg.on_height
-    )
+    return ExcitationCommand(freq=cfg.freq, dc_left=u_l, dc_right=u_r)

@@ -19,7 +19,8 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import ClassVar
 
@@ -33,7 +34,7 @@ from .actuator import (
     default_excursion_table,
 )
 from .control import ControlConfig, ControllerState, ReferencePath, tick
-from .errors import CalibrationRangeError, DomainError
+from .errors import CalibrationRangeError
 from .hydro import FluidEnv, PlateMotion, simulate_cycle
 from .metrics import (
     SwimmerSpec,
@@ -73,6 +74,31 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+# The experiment config schema: INI section -> key -> (field path in
+# ExperimentConfig, type). from_file reads INI files and config snapshots
+# through it and snapshot writes one, so each key is named only here.
+CONFIG_SCHEMA = {
+    "run": {
+        "kind": ("kind", str), "duration_s": ("duration", float), "seed": ("seed", int),
+        "out": ("output_dir", Path), "repeats": ("repeats", int),
+        "abort_error_m": ("abort_error_m", float),
+    },
+    "control": {
+        "kp": ("control.k_p", float), "ki": ("control.k_i", float),
+        "kp_psi": ("control.k_p_psi", float), "uv": ("control.u_v", float),
+        "umax": ("control.u_max", float), "freq_hz": ("control.freq", float),
+        "loop_hz": ("control.loop_rate", float),
+    },
+    "plant": {"noise_sigma_m": ("noise_sigma", float), "response_time_s": ("response_time", float)},
+    "fluid": {"rho": ("fluid.rho", float), "c_d": ("fluid.c_d", float), "nu": ("fluid.nu", float)},
+    "cycle": {
+        "freq_hz": ("cycle_freq", float), "tail_amp_radps": ("cycle_tail_amp", float),
+        "i_head_mm5": ("cycle_i_head", float), "i_tail_mm5": ("cycle_i_tail", float),
+        "n_steps": ("cycle_n_steps", int),
+    },
+}
+
+
 @dataclass
 class ExperimentConfig:
     kind: str = "track_rectilinear"
@@ -95,100 +121,76 @@ class ExperimentConfig:
     KINDS: ClassVar[tuple[str, ...]]  # the keys of RUNNERS, set below it
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ValueError("duration must be finite and positive")
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError("noise_sigma must be finite and nonnegative")
-        if not (math.isfinite(self.abort_error_m) and self.abort_error_m > 0):
-            raise ValueError("abort_error_m must be finite and positive")
+        for name in ("repeats", "duration", "abort_error_m", "cycle_freq", "cycle_i_head",
+                     "cycle_i_tail"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("seed", "noise_sigma", "response_time"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not math.isfinite(self.cycle_tail_amp):
+            raise ValueError("cycle_tail_amp must be finite")
         if self.kind in TRACK_PATHS:
             n_ticks, dt_tick = _tick_grid(self)
-            if n_ticks < 1:
-                raise ValueError(f"duration {self.duration:g} s is shorter than one control tick")
-            # the same span and window trajectory_stats compares
+            # trajectory_stats compares the log's span, n_ticks - 1 ticks, with this
+            # window; a run shorter than one tick fails it too
             if (n_ticks - 1) * dt_tick < STATS_WINDOW_FRAC * self.duration:
                 raise ValueError(
-                    f"duration {self.duration:g} s is too short: the log would span "
-                    f"{(n_ticks - 1) * dt_tick:g} s, under the "
-                    f"{STATS_WINDOW_FRAC * self.duration:g} s stats window"
+                    f"duration {self.duration:g} s is too short: its {n_ticks} control ticks "
+                    f"span less than the {STATS_WINDOW_FRAC * self.duration:g} s stats window"
                 )
 
     @staticmethod
     def from_file(path, **overrides) -> "ExperimentConfig":
-        """Load from a sectioned key-value (INI) file; `overrides` (field ->
+        """Load an INI file or a run's config.snapshot.json (a .json file, whose
+        numbers are read as text, so both parse alike); `overrides` (field ->
         value) replace the file's values, so the config is built and checked
-        once.
-
-        Sections: [run] kind, duration_s, seed, out, repeats;
-        [control] kp, ki, kp_psi, uv, umax, freq_hz, loop_hz;
-        [plant] noise_sigma_m, response_time_s; [fluid] rho, c_d, nu;
-        [cycle] freq_hz, tail_amp_radps, i_head_mm5, i_tail_mm5, n_steps.
-        """
-        ini = configparser.ConfigParser()
-        if not ini.read(path):
-            raise FileNotFoundError(path)
-        d = ExperimentConfig()
-        cc, fl = d.control, d.fluid
-        get, getf, geti = ini.get, ini.getfloat, ini.getint  # fallback when absent
-        fields = dict(
-            kind=get("run", "kind", fallback=d.kind),
-            duration=getf("run", "duration_s", fallback=d.duration),
-            seed=geti("run", "seed", fallback=d.seed),
-            output_dir=Path(get("run", "out", fallback=str(d.output_dir))),
-            repeats=geti("run", "repeats", fallback=d.repeats),
-            control=replace(
-                cc,
-                k_p=getf("control", "kp", fallback=cc.k_p),
-                k_i=getf("control", "ki", fallback=cc.k_i),
-                k_p_psi=getf("control", "kp_psi", fallback=cc.k_p_psi),
-                u_v=getf("control", "uv", fallback=cc.u_v),
-                u_max=getf("control", "umax", fallback=cc.u_max),
-                freq=getf("control", "freq_hz", fallback=cc.freq),
-                loop_rate=getf("control", "loop_hz", fallback=cc.loop_rate),
-            ),
-            noise_sigma=getf("plant", "noise_sigma_m", fallback=d.noise_sigma),
-            response_time=getf("plant", "response_time_s", fallback=d.response_time),
-            fluid=FluidEnv(
-                rho=getf("fluid", "rho", fallback=fl.rho),
-                c_d=getf("fluid", "c_d", fallback=fl.c_d),
-                nu=getf("fluid", "nu", fallback=fl.nu),
-            ),
-            cycle_freq=getf("cycle", "freq_hz", fallback=d.cycle_freq),
-            cycle_tail_amp=getf("cycle", "tail_amp_radps", fallback=d.cycle_tail_amp),
-            cycle_i_head=getf("cycle", "i_head_mm5", fallback=d.cycle_i_head),
-            cycle_i_tail=getf("cycle", "i_tail_mm5", fallback=d.cycle_i_tail),
-            cycle_n_steps=geti("cycle", "n_steps", fallback=d.cycle_n_steps),
-        )
+        once. Unknown keys and mistyped values raise ValueError."""
+        path = Path(path)
+        if path.suffix == ".json":
+            snap = json.loads(path.read_text(), parse_int=str, parse_float=str, parse_constant=str)
+            if not isinstance(snap, dict):
+                raise ValueError(f"{path}: a config snapshot must be a JSON object")
+            # [run] keys sit at the top level (where a "run" object is an unknown
+            # key), every other section is an object
+            sections = {k: v for k, v in snap.items() if isinstance(v, dict)}
+            sections["run"] = {
+                k: v for k, v in snap.items() if k == "run" or not isinstance(v, dict)}
+        else:
+            ini = configparser.ConfigParser()
+            if not ini.read(path):
+                raise FileNotFoundError(path)
+            sections = {k: dict(v) for k, v in ini.items() if k != ini.default_section or len(v)}
+        fields, nested = {}, {}
+        for section, body in sections.items():
+            if section not in CONFIG_SCHEMA:
+                raise ValueError(f"unknown config section [{section}]")
+            for key, raw in body.items():
+                if key not in CONFIG_SCHEMA[section]:
+                    raise ValueError(f"unknown config key [{section}] {key}")
+                field_path, typ = CONFIG_SCHEMA[section][key]
+                try:  # int("1.5") fails: a value is never truncated
+                    if not isinstance(raw, str):  # JSON true, null or a list
+                        raise ValueError
+                    value = typ(raw)
+                except ValueError:
+                    raise ValueError(
+                        f"[{section}] {key} = {raw!r}: expected {typ.__name__}") from None
+                parent, _, name = field_path.rpartition(".")
+                (nested.setdefault(parent, {}) if parent else fields)[name] = value
+        for parent, values in nested.items():  # ControlConfig(**values), FluidEnv(**values)
+            fields[parent] = ExperimentConfig.__dataclass_fields__[parent].default_factory(**values)
         return ExperimentConfig(**{**fields, **overrides})
 
     def snapshot(self) -> dict:
-        return {
-            "kind": self.kind,
-            "duration_s": self.duration,
-            "seed": self.seed,
-            "repeats": self.repeats,
-            "abort_error_m": self.abort_error_m,
-            "control": {
-                "kp": self.control.k_p, "ki": self.control.k_i,
-                "kp_psi": self.control.k_p_psi, "uv": self.control.u_v,
-                "umax": self.control.u_max, "freq_hz": self.control.freq,
-                "loop_hz": self.control.loop_rate,
-            },
-            "plant": {
-                "noise_sigma_m": self.noise_sigma,
-                "response_time_s": self.response_time,
-            },
-            "fluid": {"rho": self.fluid.rho, "c_d": self.fluid.c_d, "nu": self.fluid.nu},
-            "cycle": {
-                "freq_hz": self.cycle_freq, "tail_amp_radps": self.cycle_tail_amp,
-                "i_head_mm5": self.cycle_i_head, "i_tail_mm5": self.cycle_i_tail,
-                "n_steps": self.cycle_n_steps,
-            },
-        }
+        """The config by CONFIG_SCHEMA key, less the output directory: [run] keys
+        at the top level, one object per other section."""
+        snap = {section: {key: attrgetter(field_path)(self)
+                          for key, (field_path, _) in keys.items() if field_path != "output_dir"}
+                for section, keys in CONFIG_SCHEMA.items()}
+        return {**snap.pop("run"), **snap}
 
 
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summary: dict,
@@ -196,13 +198,10 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summ
     """Write config snapshot and manifest; the manifest lands last (atomic-ish)."""
     snap = out_dir / "config.snapshot.json"
     snap.write_text(json.dumps(cfg.snapshot(), indent=2, sort_keys=True) + "\n")
-    manifest = {
-        "version": __version__,
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "files": sorted(files + ["config.snapshot.json"]),
-        "summary": summary,
-    }
+    manifest = dict(
+        version=__version__, kind=cfg.kind, seed=cfg.seed,
+        files=sorted(files + ["config.snapshot.json"]), summary=summary,
+    )
     if counters is not None:
         manifest["counters"] = counters
     tmp = out_dir / "manifest.json.tmp"
@@ -374,6 +373,19 @@ def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: 
     return TrackingResult(log_path=log_path, stats=stats, failed=failed, counters=counters)
 
 
+def check_reachable_lookups(cc: ControlConfig, cal: PlantCalibration) -> None:
+    """Raise CalibrationRangeError unless every lookup the controller can make
+    at cc.freq lies inside the calibration. With duty cycles u_v +- u_psi
+    clamped to [0, u_max] and 0 < u_v <= u_max, rates reads the speed grid at
+    the pair's mean, in [min(u_v, u_max/2), u_v], and a turn grid at the
+    dominant channel, in [u_v, u_max]; both ends of each range are looked up."""
+    for table, lo, hi in ((cal.speed_map, min(cc.u_v, cc.u_max / 2), cc.u_v),
+                          (cal.turn_map_left, cc.u_v, cc.u_max),
+                          (cal.turn_map_right, cc.u_v, cc.u_max)):
+        table(cc.freq, lo)
+        table(cc.freq, hi)
+
+
 def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
     """Closed-loop maneuver runs (repeat count per cfg.repeats).
 
@@ -382,10 +394,11 @@ def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
     """
     if cfg.kind not in TRACK_PATHS:
         raise ValueError(f"{cfg.kind!r} is not a tracking experiment")
+    cal = PlantCalibration.default()
+    check_reachable_lookups(cfg.control, cal)
+    rng = np.random.default_rng(cfg.seed)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    cal = PlantCalibration.default()
-    rng = np.random.default_rng(cfg.seed)
     results = []
     for rep in range(cfg.repeats):
         path_obj = TRACK_PATHS[cfg.kind]()
@@ -424,7 +437,7 @@ def run_constrained_cycle(cfg: ExperimentConfig) -> Path:
 
 
 # Every experiment kind: its runner and the CLI (command, argument) that
-# selects it. run_experiment, the CLI and ExperimentConfig.KINDS read this.
+# selects it. The CLI and ExperimentConfig.KINDS read this.
 RUNNERS = {
     "excursion_sweep": (run_excursion_sweep, "sweep", "excursion"),
     "speed_sweep": (run_speed_sweep, "sweep", "speed"),
@@ -438,10 +451,6 @@ ExperimentConfig.KINDS = tuple(RUNNERS)
 CLI_KINDS = {(command, arg): kind for kind, (_, command, arg) in RUNNERS.items()}
 
 
-def run_experiment(cfg: ExperimentConfig):
-    return RUNNERS[cfg.kind][0](cfg)
-
-
 # ---------------------------------------------------------------- CLI
 
 def _cli_args(command: str) -> list[str]:
@@ -453,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="milliswim",
         description="Milliswimmer design, simulation, and control experiments.",
     )
-    p.add_argument("--config", type=Path, help="INI experiment config file")
+    p.add_argument("--config", type=Path, help="INI config, or a run's config.snapshot.json")
     p.add_argument("--seed", type=int, help="override the run seed")
     p.add_argument("--out", type=Path, help="override the output directory")
     sub = p.add_subparsers(dest="command", required=True)
@@ -500,11 +509,10 @@ def _cmd_rdf(args) -> int:
     else:
         print("rdf: provide --design or both --head and --tail", file=sys.stderr)
         return 1
-    print(format_table({
-        "i_head_mm5": report.i_head,
-        "i_tail_mm5": report.i_tail,
-        "ratio_head_over_tail": report.ratio_head_over_tail,
-    }))
+    print(format_table(dict(
+        i_head_mm5=report.i_head, i_tail_mm5=report.i_tail,
+        ratio_head_over_tail=report.ratio_head_over_tail,
+    )))
     return 0
 
 
@@ -535,25 +543,26 @@ def cli_main(argv=None) -> int:
         if args.command == "metrics":
             return _cmd_metrics(args)
 
-        given = {"seed": args.seed, "output_dir": args.out}
+        given = dict(seed=args.seed, output_dir=args.out)
         if args.command == "track":
             given.update(
                 repeats=args.repeats, duration=args.duration, noise_sigma=args.noise_sigma
             )
         given = {k: v for k, v in given.items() if v is not None}
-        given["kind"] = CLI_KINDS[args.command, getattr(args, "which", getattr(args, "maneuver", None))]
+        given.update(
+            kind=CLI_KINDS[args.command, getattr(args, "which", getattr(args, "maneuver", None))])
         cfg = (
             ExperimentConfig.from_file(args.config, **given) if args.config
             else ExperimentConfig(**given)
         )
-        out = run_experiment(cfg)
+        out = RUNNERS[cfg.kind][0](cfg)
         if args.command != "track":
             print(out)
             return 0
         for i, r in enumerate(out):
             print(f"test {i + 1}: {json.dumps(r.stats, sort_keys=True)}")
         return 2 if any(r.failed for r in out) else 0
-    except (ValueError, DomainError, FileNotFoundError, KeyError) as e:
+    except (ValueError, FileNotFoundError, IsADirectoryError, KeyError, configparser.Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failures (convergence, I/O mid-run, ...)

@@ -42,8 +42,8 @@ class FluidEnv:
     nu: float = 1.0e-6    # m^2/s
 
     def __post_init__(self):
-        if self.rho <= 0 or self.c_d <= 0 or self.nu <= 0:
-            raise ValueError("fluid properties must be positive")
+        if not all(0 < v < math.inf for v in (self.rho, self.c_d, self.nu)):
+            raise ValueError("fluid properties must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,9 @@ class Planform:
     def tabulated(points, l1: float, l2: float, label: str = "tail") -> "Planform":
         """Piecewise-linear chord through (x, h) knots that cover [-l1, l2].
 
-        Knots need distinct, finite x, finite nonnegative heights, and at
-        least two of them; any order is accepted.
+        Knots need distinct, finite x, finite nonnegative heights, a finite
+        slope between neighbours, and at least two of them; any order is
+        accepted.
         """
         pts = sorted((float(x), float(h)) for x, h in points)
         if len(pts) < 2:
@@ -86,8 +87,9 @@ class Planform:
             raise InvalidPlanformError("knot coordinates must be finite")
         xs = tuple(x for x, _ in pts)
         hs = tuple(h for _, h in pts)
-        if any(x0 == x1 for x0, x1 in zip(xs, xs[1:])):
-            raise InvalidPlanformError("duplicate knot x values")
+        if not all(x1 > x0 and math.isfinite((h1 - h0) / (x1 - x0))
+                   for x0, x1, h0, h1 in zip(xs, xs[1:], hs, hs[1:])):
+            raise InvalidPlanformError("duplicate knot x values, or a slope that is not finite")
         if min(hs) < 0:
             raise InvalidPlanformError(f"negative knot height {min(hs):g}")
         if xs[0] > -l1 or xs[-1] < l2:

@@ -23,6 +23,7 @@ from .errors import CalibrationRangeError
 from .tables import BilinearTable
 
 DEG = math.pi / 180.0
+MARKER_BASELINE_M = 0.01  # m; observe divides a position-noise draw by it for the heading
 
 
 def wrap_angle(a: float) -> float:
@@ -179,13 +180,12 @@ def observe(
     psi: float,
     noise_sigma: float,
     rng: np.random.Generator | None = None,
-    heading_scale: float = 0.01,
 ) -> tuple[float, float, float]:
     """Motion-capture style observation of (r1, r2, psi).
 
     Positions get zero-mean Gaussian noise of std noise_sigma, drawn as one
     rng.normal(size=3) call; the heading noise is the third draw divided by
-    the marker baseline heading_scale (m). Noiseless passthrough when
+    the marker baseline MARKER_BASELINE_M (m). Noiseless passthrough when
     noise_sigma = 0 or there is no generator.
     """
     if noise_sigma < 0:
@@ -193,14 +193,13 @@ def observe(
     if noise_sigma == 0.0 or rng is None:
         return r1, r2, psi
     n1, n2, n3 = rng.normal(0.0, noise_sigma, size=3).tolist()
-    return r1 + n1, r2 + n2, wrap_angle(psi + n3 / heading_scale)
+    return r1 + n1, r2 + n2, wrap_angle(psi + n3 / MARKER_BASELINE_M)
 
 
 def measure(
     state: SwimmerState,
     noise_sigma: float,
     rng: np.random.Generator | None = None,
-    heading_scale: float = 0.01,
 ) -> tuple[float, float, float]:
     """Observation of a SwimmerState's pose; see observe."""
-    return observe(state.r1, state.r2, state.psi, noise_sigma, rng, heading_scale)
+    return observe(state.r1, state.r2, state.psi, noise_sigma, rng)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from milliswim.actuator import Mode, classify_mode
+from milliswim.actuator import DEFAULT_ON_HEIGHT_V, Mode, classify_mode
 from milliswim.control import (
     ControlConfig,
     ControllerState,
@@ -202,7 +202,7 @@ class TestClosedLoopTick:
                 u = tick(CFG, path, b, *pose, DT)
                 assert (cmd.dc_left.hex(), cmd.dc_right.hex()) == (u[0].hex(), u[1].hex())
                 assert a == b
-                assert (cmd.freq, cmd.on_height) == (CFG.freq, CFG.on_height)
+                assert (cmd.freq, cmd.on_height) == (CFG.freq, DEFAULT_ON_HEIGHT_V)
 
     def test_duty_cycles_always_admissible(self):
         rng = np.random.default_rng(23)
@@ -222,6 +222,12 @@ class TestConfigValidation:
     def test_bad_gains(self):
         with pytest.raises(ValueError):
             ControlConfig(k_p=-1.0)
+
+    @pytest.mark.parametrize("field", ["k_p", "k_i", "k_p_psi", "freq", "loop_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_gains_and_rates_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ControlConfig(**{field: value})
 
     def test_bad_duty_bounds(self):
         with pytest.raises(ValueError):
@@ -246,10 +252,6 @@ class TestConfigValidation:
         assert (north.lateral_axis, north.along_axis, north.left_normal_sign) == (1, 2, -1.0)
         assert north == PathSegment(heading=math.pi / 2, target=0.0, waypoint=1.0)
         assert repr(east) == "PathSegment(heading=0.0, target=0.0, waypoint=1.0)"
-
-    def test_bad_on_height(self):
-        with pytest.raises(ValueError):
-            ControlConfig(on_height=0.0)
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):

@@ -2,23 +2,30 @@ import csv
 import hashlib
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from milliswim.actuator import Mode, classify_mode
 from milliswim.control import ControlConfig, ControllerState, ReferencePath, closed_loop_tick
+from milliswim.errors import CalibrationRangeError
 from milliswim.harness import (
     CLI_KINDS,
+    CONFIG_SCHEMA,
     RUNNERS,
+    TRACK_PATHS,
     ExperimentConfig,
+    check_reachable_lookups,
     cli_main,
     run_excursion_sweep,
     run_speed_sweep,
     run_tracking,
     run_turn_sweep,
 )
+from milliswim.hydro import FluidEnv
 from milliswim.plant import PlantCalibration, SwimmerState, command_to_rates, measure, step
 
 # sha256 of the sweep and cycle CSVs of `milliswim --seed 7 sweep ...|cycle`.
@@ -60,6 +67,10 @@ ABORT_CASE_SHA256 = {
     "trajectory_2.csv": "7488f4828de5bf2265dada255c80589d29cc0d295ce78e9df69731b0cdf67fbc",
     "stats.json": "520ac6f9b918bd1571fd1699411bc93ffb48893da17501977a6d148674f34fcf",
 }
+
+
+# stands for the config file's path in an argv of test_invalid_final_config_exit_1
+CONFIG = object()
 
 
 def sha256(path):
@@ -274,6 +285,64 @@ class TestCounters:
         assert res.counters["modes"]["bimorph"] == res.counters["ticks"]
 
 
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def configs(draw):
+    """An ExperimentConfig with every CONFIG_SCHEMA field drawn."""
+    u_v, u_max = sorted(draw(finite(1e-6, 1.0)) for _ in range(2))
+    return ExperimentConfig(
+        kind=draw(st.sampled_from(ExperimentConfig.KINDS)),
+        duration=draw(finite(1.0, 1e3)),
+        seed=draw(st.integers(0, 2**64)),
+        repeats=draw(st.integers(1, 10)),
+        abort_error_m=draw(finite(1e-6, 10.0)),
+        control=ControlConfig(
+            k_p=draw(finite(0.0, 1e3)), k_i=draw(finite(0.0, 1e3)),
+            k_p_psi=draw(finite(0.0, 1e3)), u_v=u_v, u_max=u_max,
+            freq=draw(finite(1e-3, 1e3)), loop_rate=draw(finite(10.0, 1e4)),
+        ),
+        noise_sigma=draw(finite(0.0, 1.0)),
+        response_time=draw(finite(0.0, 10.0)),
+        fluid=FluidEnv(rho=draw(finite(1e-6, 1e6)), c_d=draw(finite(1e-6, 10.0)),
+                       nu=draw(finite(1e-12, 1.0))),
+        cycle_freq=draw(finite(1e-3, 1e3)),
+        cycle_tail_amp=draw(finite(-1e3, 1e3)),
+        cycle_i_head=draw(finite(1e-6, 1e12)),
+        cycle_i_tail=draw(finite(1e-6, 1e12)),
+        cycle_n_steps=draw(st.integers(100, 10**6)),
+    )
+
+
+def grid_edge_or(lo, hi, *edges):
+    return finite(lo, hi) | st.sampled_from(edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(tuple(TRACK_PATHS)),
+    freq=grid_edge_or(0.3, 5.5, 0.5, 1.0, 5.0),
+    duties=st.lists(grid_edge_or(0.005, 0.25, 0.01, 0.05, 0.22), min_size=2, max_size=2),
+    gains=st.lists(finite(0.0, 50.0), min_size=3, max_size=3),
+    noise=st.sampled_from([0.0, 1e-4, 1e-3]),
+    seed=st.integers(0, 2**32),
+)
+def test_preflight_passing_configs_stay_in_the_calibration(kind, freq, duties, gains, noise, seed):
+    u_v, u_max = sorted(duties)
+    cc = ControlConfig(*gains, u_v=u_v, u_max=u_max, freq=freq)
+    try:
+        check_reachable_lookups(cc, PlantCalibration.default())
+    except CalibrationRangeError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as d:
+        cfg = ExperimentConfig(kind=kind, duration=2.0, seed=seed, noise_sigma=noise,
+                               abort_error_m=10.0, control=cc, output_dir=Path(d) / "run")
+        (res,) = run_tracking(cfg)  # a CalibrationRangeError here fails the test
+        assert not res.failed
+
+
 class TestConfigFile:
     def test_ini_roundtrip(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -298,6 +367,40 @@ class TestConfigFile:
         assert cfg.fluid.c_d == 2.0
         assert cfg.cycle_freq == 3.0
         assert cfg.cycle_n_steps == 500
+
+    def test_abort_bound_from_ini(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[run]\nabort_error_m = 0.05\n")
+        assert ExperimentConfig.from_file(ini).abort_error_m == 0.05
+
+    def test_snapshot_must_be_an_object(self, tmp_path):
+        path = tmp_path / "config.snapshot.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentConfig.from_file(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_snapshot_roundtrip(self, data):
+        # snapshot -> from_file -> snapshot, through the snapshot and through an INI
+        cfg = data.draw(configs())
+        snap = cfg.snapshot()
+        text = json.dumps(snap, indent=2, sort_keys=True) + "\n"
+        sections = {"run": {k: v for k, v in snap.items() if not isinstance(v, dict)},
+                    **{s: body for s, body in snap.items() if isinstance(body, dict)}}
+        schema_keys = {(s, k) for s, body in CONFIG_SCHEMA.items() for k in body}
+        assert {(s, k) for s, body in sections.items() for k in body} == (
+            schema_keys - {("run", "out")})
+        # str(x) of a float is its shortest round-tripping repr
+        ini = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                      for s, body in sections.items())
+        with tempfile.TemporaryDirectory() as d:
+            for name, content in (("config.snapshot.json", text), ("exp.ini", ini)):
+                path = Path(d) / name
+                path.write_text(content)
+                again = ExperimentConfig.from_file(path)
+                assert again == cfg
+                assert json.dumps(again.snapshot(), indent=2, sort_keys=True) + "\n" == text
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -387,6 +490,13 @@ class TestCli:
     def test_bad_config_exit_1(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "missing.ini"), "cycle"]) == 1
 
+    @pytest.mark.parametrize("name", ["exp.ini", "config.snapshot.json"])
+    def test_config_directory_exit_1(self, tmp_path, capsys, name):
+        (tmp_path / name).mkdir()
+        out = tmp_path / "run"
+        assert cli_main(["--config", str(tmp_path / name), "--out", str(out), "cycle"]) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("ini, argv", [
         ("[run]\nduration_s = -5\n", ["track", "line"]),
         ("", ["track", "line", "--repeats", "0"]),
@@ -400,13 +510,42 @@ class TestCli:
         ("[plant]\nnoise_sigma_m = -1e-4\n", ["track", "left"]),
         ("", ["track", "line", "--duration", "1e-4"]),
         ("", ["track", "right", "--duration", "0.01"]),
+        ("[fluid]\nrho = nan\n", ["cycle"]),
+        ("[cycle]\nfreq_hz = 0\n", ["cycle"]),
+        ("[plant]\nresponse_time_s = -1\n", ["track", "line"]),
+        ("[plant]\nresponse_time_s = nan\n", ["track", "line"]),
+        ("[control]\nkp = nan\n", ["track", "line"]),
+        ("[control]\nloop_hz = nan\n", ["track", "line"]),
+        ("", ["--seed", "-1", "track", "line"]),
+        ("seed = 1\n", ["cycle"]),
+        ("[run]\nseed = 1\nseed = 2\n", ["cycle"]),
+        ('{"kind": "tabulated", "points": [[-0.0, 1.0], [2.225073858507203e-309, 0.5]], '
+         '"l1_mm": 0.0, "l2_mm": 2.225073858507203e-309}',
+         ["rdf", "--head", CONFIG, "--tail", CONFIG]),
+        ("[control]\nfreq_hz = 0.5\n", ["track", "left", "--duration", "30"]),
+        ("[control]\nuv = 0.04\n", ["track", "right"]),
+        ("[control]\nk_p = 9\n", ["track", "line"]),
+        ("[contrl]\nkp = 9\n", ["track", "line"]),
+        ("[run]\nseed = 1.5\n", ["cycle"]),
+        ('{"seed": 1.5}', ["cycle"]),
+        ('{"seed": true}', ["cycle"]),
+        ('{"control": {"kp": null}}', ["track", "line"]),
+        ('{"control": {"k_p": 9}}', ["track", "line"]),
+        ('{"run": {"seed": 3}}', ["cycle"]),
     ], ids=["ini-duration", "repeats-0", "repeats-neg", "duration-nan", "duration-0",
             "duration-inf", "ini-repeats", "noise-neg", "noise-nan", "ini-noise-neg",
-            "duration-under-a-tick", "duration-under-the-stats-window"])
+            "duration-under-a-tick", "duration-under-the-stats-window",
+            "rho-nan", "cycle-freq-0", "response-time-neg", "response-time-nan", "kp-nan",
+            "loop-hz-nan", "seed-neg", "no-section-header", "duplicate-option",
+            "knots-too-close", "freq-below-turn-calibration", "uv-below-turn-calibration",
+            "typo-key", "typo-section", "seed-not-int", "snapshot-seed-not-int",
+            "snapshot-seed-bool", "snapshot-null", "snapshot-typo-key", "snapshot-run-object"])
     def test_invalid_final_config_exit_1(self, tmp_path, capsys, ini, argv):
-        cfg = tmp_path / "exp.ini"
+        # a config that starts with "{" is JSON (a snapshot, or for rdf a planform)
+        cfg = tmp_path / ("exp.json" if ini.startswith("{") else "exp.ini")
         cfg.write_text(ini)
         out = tmp_path / "run"
+        argv = [str(cfg) if a is CONFIG else a for a in argv]
         assert cli_main(["--config", str(cfg), "--out", str(out), *argv]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
@@ -455,12 +594,17 @@ def tree_digests(root: Path) -> dict:
     ["track", "line", "--duration", "3", "--noise-sigma", "0.0001"],
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_rerun_output_directories_identical(tmp_path, capsys, argv):
-    # every file a run writes, manifest included, is a function of (config, seed)
+    # every file a run writes, manifest included, is a function of (config, seed),
+    # and the config comes back from the run's snapshot
     for d in ("a", "b"):
         assert cli_main(["--out", str(tmp_path / d), "--seed", "7", *argv]) == 0
-    a, b = tree_digests(tmp_path / "a"), tree_digests(tmp_path / "b")
+    subcommand = argv[:2] if argv[0] in ("sweep", "track") else argv[:1]
+    snapshot = str(tmp_path / "a" / "config.snapshot.json")
+    assert cli_main(["--config", snapshot, "--out", str(tmp_path / "c"), "--seed", "7",
+                     *subcommand]) == 0
+    a, b, c = (tree_digests(tmp_path / d) for d in "abc")
     assert "manifest.json" in a
-    assert a == b
+    assert a == b == c
 
 
 @pytest.mark.parametrize("argv", list(PINNED_SHA256), ids="-".join)

@@ -52,6 +52,13 @@ class TestDragForcePerLength:
             drag_force_per_length(env, p, 1.0, 0.006)
 
 
+@pytest.mark.parametrize("name", ["rho", "c_d", "nu"])
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+def test_fluid_properties_must_be_finite_and_positive(name, bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        FluidEnv(**{name: bad})
+
+
 class TestReactiveTorque:
     def test_zero_omega(self):
         assert reactive_torque(FluidEnv(), Planform.rectangle(10, 5, 5), 0.0) == 0.0

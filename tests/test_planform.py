@@ -317,6 +317,8 @@ class TestTabulated:
         ([(0.0, 5.0), (5.0, -1.0), (10.0, 1.0)], 0.0, 10.0),
         ([(0.0, 5.0), (5.0, 5.0)], 0.0, 10.0),              # short of l2
         ([(-2.0, 5.0), (10.0, 5.0)], 3.0, 10.0),            # short of -l1
+        # knots a subnormal distance apart: the slope overflows
+        ([(-0.0, 1.0), (2.225073858507203e-309, 0.5)], 0.0, 2.225073858507203e-309),
     ])
     def test_bad_knots_rejected(self, points, l1, l2):
         with pytest.raises(InvalidPlanformError):
