@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import sys
@@ -209,6 +210,13 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summ
     tmp.replace(out_dir / "manifest.json")
 
 
+# The shipped calibration, read once per process and shared by every run; its
+# grids are read-only.
+@functools.cache
+def _calibration():
+    return PlantCalibration.default(), default_excursion_table()
+
+
 # ---------------------------------------------------------------- sweeps
 
 def _write_sweep(cfg: ExperimentConfig, name: str, header: list[str], rows) -> Path:
@@ -226,8 +234,7 @@ def _write_sweep(cfg: ExperimentConfig, name: str, header: list[str], rows) -> P
 
 def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
     """Excursion sweep over the characterization grid; one row per (f, DC)."""
-    table = default_excursion_table()
-    cal = PlantCalibration.default()
+    cal, table = _calibration()
 
     def rows():
         for fr in SWEEP_FREQS:
@@ -250,7 +257,7 @@ def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
 
 
 def run_speed_sweep(cfg: ExperimentConfig) -> Path:
-    speed = PlantCalibration.default().speed_map
+    speed = _calibration()[0].speed_map
     rows = (
         [_fmt(fr), f"{dc:.2f}", _fmt(speed(fr, dc)), speed.node_provenance(fr, dc)]
         for fr in SWEEP_FREQS for dc in SWEEP_DCS
@@ -259,7 +266,7 @@ def run_speed_sweep(cfg: ExperimentConfig) -> Path:
 
 
 def run_turn_sweep(cfg: ExperimentConfig) -> Path:
-    cal = PlantCalibration.default()
+    cal = _calibration()[0]
     rows = (
         [_fmt(fr), f"{dc:.2f}", side, _fmt(table(fr, dc)), table.node_provenance(fr, dc)]
         for side, table in (("left", cal.turn_map_left), ("right", cal.turn_map_right))
@@ -379,11 +386,13 @@ def check_reachable_lookups(cc: ControlConfig, cal: PlantCalibration) -> None:
     clamped to [0, u_max] and 0 < u_v <= u_max, rates reads the speed grid at
     the pair's mean, in [min(u_v, u_max/2), u_v], and a turn grid at the
     dominant channel, in [u_v, u_max]; both ends of each range are looked up."""
-    for table, lo, hi in ((cal.speed_map, min(cc.u_v, cc.u_max / 2), cc.u_v),
-                          (cal.turn_map_left, cc.u_v, cc.u_max),
-                          (cal.turn_map_right, cc.u_v, cc.u_max)):
-        table(cc.freq, lo)
-        table(cc.freq, hi)
+    for name, lo, hi in (("speed_map", min(cc.u_v, cc.u_max / 2), cc.u_v),
+                         ("turn_map_left", cc.u_v, cc.u_max), ("turn_map_right", cc.u_v, cc.u_max)):
+        try:
+            for dc in (lo, hi):
+                getattr(cal, name)(cc.freq, dc)
+        except CalibrationRangeError as e:
+            raise CalibrationRangeError(f"{name}: {e}") from None
 
 
 def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
@@ -394,7 +403,7 @@ def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
     """
     if cfg.kind not in TRACK_PATHS:
         raise ValueError(f"{cfg.kind!r} is not a tracking experiment")
-    cal = PlantCalibration.default()
+    cal = _calibration()[0]
     check_reachable_lookups(cfg.control, cal)
     rng = np.random.default_rng(cfg.seed)
     out = cfg.output_dir
@@ -457,6 +466,7 @@ def _cli_args(command: str) -> list[str]:
     return [arg for cmd, arg in CLI_KINDS if cmd == command]
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="milliswim",

@@ -18,7 +18,6 @@ this boundary (1 mm^5 = 1e-15 m^5).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -66,7 +65,7 @@ class PlateMotion:
     def mean_square(self, n: int = 4096) -> float:
         """<omega^2> over one period (midpoint rule)."""
         t = (np.arange(n) + 0.5) * self.period / n
-        w = np.array([self.omega_fn(ti) for ti in t])
+        w = np.array([self.omega_fn(ti) for ti in t.tolist()])
         if not np.all(np.isfinite(w)):
             raise DomainError("omega_fn is not finite over the period")
         return float(np.mean(w**2))
@@ -156,15 +155,11 @@ class CycleResult:
         return float(np.mean(np.abs(self.tau_rt)))
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t_s", "omega_h", "omega_t", "tau_rh", "tau_rt", "tau_b"])
-            for k in range(self.t.size):
-                w.writerow(
-                    [f"{v:.10g}" for v in (
-                        self.t[k], self.omega_h[k], self.omega_t[k],
-                        self.tau_rh[k], self.tau_rt[k], self.tau_b[k])]
-                )
+        cols = (self.t, self.omega_h, self.omega_t, self.tau_rh, self.tau_rt, self.tau_b)
+        with open(path, "w", newline="") as f:  # csv.writer's \r\n line terminator
+            f.write("t_s,omega_h,omega_t,tau_rh,tau_rt,tau_b\r\n")
+            f.writelines(map(("%.10g," * 5 + "%.10g\r\n").__mod__,
+                             zip(*(c.tolist() for c in cols))))
 
 
 def default_yaw_inertia(env: FluidEnv, rdfs: RdfReport, tail_motion: PlateMotion) -> float:

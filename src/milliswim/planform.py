@@ -168,6 +168,11 @@ def _adaptive_gauss(f, a, b):
 
     def gauss(a_, b_):
         c, r = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
+        # A panel narrower than sys.float_info.min (a few subnormals by the axis)
+        # gets one evaluation, at its midpoint c: its nodes c -+ d could round out
+        # of it, and out of the span. The integrand underflows to 0 there.
+        if r < 1.1125369292536007e-308:  # 0.5 * sys.float_info.min
+            return (b_ - a_) * f(c)
         d = r * _GAUSS_NODE
         return r * (5.0 * f(c - d) + 8.0 * f(c) + 5.0 * f(c + d)) / 9.0
 
@@ -193,7 +198,7 @@ def resistive_drag_factor(p: Planform) -> float:
     parabola, each linear piece of a tabulated chord) the integrand has degree
     <= 5, which the rule integrates exactly: the panel is accepted after 9
     chord evaluations. The nodes are interior, so neither the axis nor a span
-    end is ever evaluated.
+    end is evaluated, bar the midpoint of a panel only subnormals wide.
     """
 
     def integrand(x):

@@ -2,14 +2,16 @@
 that reads the calibration CSVs into such grids.
 
 Grids are rectangular (frequency x duty cycle), strictly increasing on both
-axes, and immutable after construction. Queries outside the convex hull raise
-CalibrationRangeError; there is no silent extrapolation.
+axes, and immutable: a table keeps read-only copies of its inputs, so callers
+may share one. Queries outside the convex hull raise CalibrationRangeError;
+there is no silent extrapolation.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
+import math
 
 import numpy as np
 
@@ -25,23 +27,27 @@ class BilinearTable:
     """
 
     def __init__(self, freqs, dcs, values, aux=None, provenance=None):
-        self.freqs = np.asarray(freqs, dtype=float)
-        self.dcs = np.asarray(dcs, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        self.freqs = np.array(freqs, dtype=float)
+        self.dcs = np.array(dcs, dtype=float)
+        self.values = np.array(values, dtype=float)
         if self.values.shape != (self.freqs.size, self.dcs.size):
             raise ValueError(
                 f"value grid shape {self.values.shape} does not match axes "
                 f"({self.freqs.size}, {self.dcs.size})"
             )
-        if np.any(np.diff(self.freqs) <= 0) or np.any(np.diff(self.dcs) <= 0):
+        # "not all > 0" also rejects a NaN on an axis
+        if not (np.all(np.diff(self.freqs) > 0) and np.all(np.diff(self.dcs) > 0)):
             raise ValueError("grid axes must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
-        self.aux = None if aux is None else np.asarray(aux, dtype=float)
+        self.aux = None if aux is None else np.array(aux, dtype=float)
         if provenance is None:
             self.provenance = np.full(self.values.shape, "digitized", dtype=object)
         else:
-            self.provenance = np.asarray(provenance, dtype=object)
+            self.provenance = np.array(provenance, dtype=object)
+        for a in (self.freqs, self.dcs, self.values, self.aux, self.provenance):
+            if a is not None:
+                a.setflags(write=False)
         # the lookup reads Python floats: a scalar np.searchsorted costs more
         # than the whole interpolation
         self._freqs = tuple(self.freqs.tolist())
@@ -109,11 +115,15 @@ class BilinearTable:
 
     def node(self, freq: float, dc: float) -> tuple[int, int]:
         """Grid indices of the node at (freq, dc); the point must be a node."""
-        i = int(np.argmin(np.abs(self.freqs - freq)))
-        j = int(np.argmin(np.abs(self.dcs - dc)))
-        if not (np.isclose(self.freqs[i], freq) and np.isclose(self.dcs[j], dc)):
-            raise CalibrationRangeError(f"({freq}, {dc}) is not a grid node")
-        return i, j
+        ij = []
+        for axis, x in ((self._freqs, freq), (self._dcs, dc)):
+            # np.argmin's index (the nearest node, the first on a tie), kept if
+            # np.isclose(axis[k], x) holds; no node is close to NaN or +-inf
+            dist = [abs(a - x) for a in axis]
+            ij.append(dist.index(min(dist)))
+            if not (math.isfinite(x) and dist[ij[-1]] <= 1e-8 + 1e-5 * abs(x)):
+                raise CalibrationRangeError(f"({freq}, {dc}) is not a grid node")
+        return tuple(ij)
 
     def node_provenance(self, freq: float, dc: float) -> str:
         """Provenance of the grid node at (freq, dc); the point must be a node."""

@@ -2,13 +2,18 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from milliswim import harness
 from milliswim.actuator import Mode, classify_mode
 from milliswim.control import ControlConfig, ControllerState, ReferencePath, closed_loop_tick
 from milliswim.errors import CalibrationRangeError
@@ -27,6 +32,7 @@ from milliswim.harness import (
 )
 from milliswim.hydro import FluidEnv
 from milliswim.plant import PlantCalibration, SwimmerState, command_to_rates, measure, step
+from milliswim.tables import BilinearTable
 
 # sha256 of the sweep and cycle CSVs of `milliswim --seed 7 sweep ...|cycle`.
 PINNED_SHA256 = {
@@ -343,6 +349,34 @@ def test_preflight_passing_configs_stay_in_the_calibration(kind, freq, duties, g
         assert not res.failed
 
 
+@pytest.mark.parametrize("ini, argv, message", [
+    ("[control]\nfreq_hz = 0.3\n", ["track", "line"],
+     "speed_map: freq=0.3 outside calibration range [0.5, 5]"),
+    ("[control]\nuv = 0.23\numax = 0.25\n", ["track", "line"],
+     "speed_map: dc=0.23 outside calibration range [0.01, 0.22]"),
+    ("[control]\nfreq_hz = 0.5\n", ["track", "left", "--duration", "30"],
+     "turn_map_left: freq=0.5 outside calibration range [1, 5]"),
+    ("[control]\nuv = 0.04\n", ["track", "right"],
+     "turn_map_left: dc=0.04 outside calibration range [0.05, 0.22]"),
+    ("[control]\numax = 0.25\n", ["track", "line"],
+     "turn_map_left: dc=0.25 outside calibration range [0.05, 0.22]"),
+])
+def test_preflight_error_names_the_grid(tmp_path, capsys, ini, argv, message):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "run"
+    assert cli_main(["--config", str(cfg), "--out", str(out), *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_preflight_names_the_right_turn_grid():
+    cal = PlantCalibration.default()
+    narrow = BilinearTable([1.0, 5.0], [0.05, 0.15], [[-1.0, -2.0], [-3.0, -4.0]])
+    with pytest.raises(CalibrationRangeError, match=r"^turn_map_right: dc=0\.22 outside"):
+        check_reachable_lookups(ControlConfig(), replace(cal, turn_map_right=narrow))
+
+
 class TestConfigFile:
     def test_ini_roundtrip(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -612,3 +646,29 @@ def test_pinned_output_digests(tmp_path, capsys, argv):
     name, digest = PINNED_SHA256[argv]
     assert cli_main(["--out", str(tmp_path), "--seed", "7", *argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [["sweep", "excursion"], ["sweep", "speed"],
+                                  ["sweep", "turn"], ["cycle"]], ids=lambda argv: argv[-1])
+def test_cold_and_warm_calibration_runs_identical(tmp_path, capsys, argv):
+    # the first run reads the calibration CSVs and builds the parser, the second
+    # reuses both
+    harness._calibration.cache_clear()
+    harness._build_parser.cache_clear()
+    for d in ("cold", "warm"):
+        assert cli_main(["--out", str(tmp_path / d), "--seed", "7", *argv]) == 0
+    assert tree_digests(tmp_path / "cold") == tree_digests(tmp_path / "warm")
+    assert harness._calibration() is harness._calibration()
+
+
+@pytest.mark.parametrize("argv", [("sweep", "excursion"), ("cycle",)], ids="-".join)
+def test_fresh_process_output_digests(tmp_path, argv):
+    # a one-shot process: the calibration and the parser are built once, cold
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "milliswim.harness", "--seed", "7", "--out", str(tmp_path),
+         *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    name, digest = PINNED_SHA256[argv]
+    assert sha256(tmp_path / name) == digest

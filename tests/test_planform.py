@@ -189,6 +189,21 @@ class TestClosedForms:
         assert resistive_drag_factor(p) == pytest.approx(
             exact_parabola_rdf(height, root, l1), rel=1e-12)
 
+    @pytest.mark.parametrize("height, root, frac", [
+        (1.0, 3.0, 5e-324), (1.0, 2.5, 5e-324), (7.5, 20.0, 5e-324), (2.0, 2.0, 1e-308),
+    ])
+    def test_parabola_subnormal_l1(self, height, root, frac):
+        # the panel [-l1, 0] is a few subnormals wide, so its Gauss nodes c -+ d
+        # round past the span end unless clamped into the panel
+        l1 = frac * root
+        p = Planform.parabola(height, root, l1)
+        assert resistive_drag_factor(p) == pytest.approx(
+            exact_parabola_rdf(height, root, l1), rel=1e-12)
+
+    @pytest.mark.parametrize("l1", [5e-324, 1.5e-323, 2.5e-323, 1e-320])
+    def test_rectangle_subnormal_l1(self, l1):
+        assert resistive_drag_factor(Planform.rectangle(2.0, l1, 1.0)) == 0.5
+
     @settings(max_examples=200, deadline=None)
     @given(tabulated_knots())
     def test_tabulated(self, case):

@@ -1,9 +1,11 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from milliswim.actuator import default_excursion_table
 from milliswim.errors import CalibrationRangeError
 from milliswim.plant import PlantCalibration
 from milliswim.tables import BilinearTable
@@ -146,3 +148,101 @@ def test_calibration_lookups_match_searchsorted_formula(data):
     f = data.draw(st.floats(float(t.freqs[0]), float(t.freqs[-1])) | st.sampled_from(list(t.freqs)))
     d = data.draw(st.floats(float(t.dcs[0]), float(t.dcs[-1])) | st.sampled_from(list(t.dcs)))
     assert t(float(f), float(d)).hex() == searchsorted_lookup(t, float(f), float(d)).hex()
+
+
+# ------------------------------------------------------------ immutability
+
+
+def test_calibration_grids_are_read_only():
+    # the harness shares one calibration between the runs of a process
+    speed, exc = PlantCalibration.default().speed_map, default_excursion_table()
+    for grid in (speed.freqs, speed.dcs, speed.values, speed.provenance, exc.aux):
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.0
+
+
+def test_table_keeps_its_own_copies():
+    freqs, dcs, values = np.array([1.0, 2.0]), np.array([0.1, 0.2]), np.ones((2, 2))
+    t = BilinearTable(freqs, dcs, values, aux=values)
+    values[0, 0] = 5.0
+    freqs[0] = 0.0
+    assert freqs.flags.writeable and values.flags.writeable  # the caller's arrays
+    assert t(1.0, 0.1) == t.values[0, 0] == t.aux[0, 0] == 1.0
+    with pytest.raises(CalibrationRangeError):
+        t(0.5, 0.1)
+
+
+@pytest.mark.parametrize("axis", [[1.0, math.nan, 3.0], [math.nan, 1.0]])
+def test_nan_axis_rejected(axis):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        BilinearTable(axis, [0.1, 0.2], np.ones((len(axis), 2)))
+
+
+# ------------------------------------------------ node vs the numpy formula
+
+
+def argmin_isclose_node(t: BilinearTable, freq: float, dc: float):
+    """The node lookup as an np.argmin/np.isclose formula on the numpy axes:
+    node must return the same indices, or raise where this returns None."""
+    i = int(np.argmin(np.abs(t.freqs - freq)))
+    j = int(np.argmin(np.abs(t.dcs - dc)))
+    if not (np.isclose(t.freqs[i], freq) and np.isclose(t.dcs[j], dc)):
+        return None
+    return i, j
+
+
+@st.composite
+def axis_point(draw, axis):
+    where = draw(st.sampled_from(["node", "near", "bound", "between", "any", "special"]))
+    if where == "special":
+        return draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]))
+    if where == "any":
+        return draw(st.floats(allow_nan=False, allow_infinity=False))
+    k = draw(st.integers(0, len(axis) - 1))
+    if where == "node":
+        return axis[k]
+    if where == "near":  # about np.isclose's bound, |x - node| vs 1e-8 + 1e-5*|x|
+        rel, ab = draw(st.floats(-3e-5, 3e-5)), draw(st.floats(-3e-8, 3e-8))
+        return axis[k] * (1.0 + rel) + ab
+    if where == "bound":  # a few ulps from |x - node| == 1e-8 + 1e-5*|x|, either side
+        s = draw(st.sampled_from([-1.0, 1.0]))
+        x = (axis[k] + s * 1e-8) / (1.0 - s * math.copysign(1e-5, axis[k] + s * 1e-8))
+        for _ in range(draw(st.integers(0, 4))):
+            x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
+        return x
+    k = min(k, len(axis) - 2)
+    return axis[k] + draw(st.floats(0.0, 1.0)) * (axis[k + 1] - axis[k])
+
+
+@st.composite
+def table_and_node_query(draw):
+    tiny = st.floats(-1e-7, 1e-7, allow_subnormal=True)  # many nodes in the atol band
+    axes = [
+        sorted(draw(st.sets(st.floats(-1e3, 1e3) | tiny, min_size=2, max_size=8)))
+        for _ in range(2)
+    ]
+    t = BilinearTable(axes[0], axes[1], np.zeros((len(axes[0]), len(axes[1]))))
+    return t, draw(axis_point(axes[0])), draw(axis_point(axes[1]))
+
+
+def assert_node_matches_reference(t: BilinearTable, f: float, d: float):
+    expected = argmin_isclose_node(t, f, d)
+    if expected is None:
+        with pytest.raises(CalibrationRangeError, match="not a grid node"):
+            t.node(f, d)
+    else:
+        assert t.node(f, d) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_and_node_query())
+def test_node_matches_argmin_isclose(case):
+    assert_node_matches_reference(*case)
+
+
+def test_calibration_nodes_match_argmin_isclose():
+    for t in (CAL.speed_map, CAL.turn_map_left, CAL.turn_map_right, default_excursion_table()):
+        for f in t.freqs.tolist():
+            for d in t.dcs.tolist():
+                for x, y in ((f, d), (f * (1 + 2e-6), d + 1e-9), (f + 1e-4, d), (f, d - 1e-6)):
+                    assert_node_matches_reference(t, x, y)
