@@ -6,10 +6,8 @@ from .actuator import (
     ExcitationCommand,
     Mode,
     average_power,
-    classify_mode,
     default_excursion_table,
     mode_of,
-    waveform_sample,
 )
 from .control import (
     ControlConfig,
@@ -27,8 +25,6 @@ from .hydro import (
     FluidEnv,
     PlateMotion,
     balanced_head_amplitude,
-    drag_force_per_length,
-    net_body_torque,
     reactive_torque,
     simulate_cycle,
     tail_motion_from_excursion,
@@ -46,8 +42,6 @@ from .plant import (
     PlantCalibration,
     SwimmerState,
     advance,
-    command_to_rates,
-    measure,
     observe,
     rates,
     step,

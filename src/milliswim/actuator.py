@@ -1,15 +1,14 @@
 """Dual-channel PWM excitation model for the bimorph tail actuator.
 
-Both channels share the excitation frequency and on-height voltage; the right
-channel's on-window is shifted by half a period (antiphase). Average electrical
-power follows the measured linear fit P(DC) = 720*DC mW for symmetric bimorph
-drive, split evenly between the two supplies.
+Both channels share the excitation frequency; the right channel's on-window is
+shifted by half a period (antiphase). Average electrical power follows the
+measured linear fit P(DC) = 720*DC mW for symmetric bimorph drive, split evenly
+between the two supplies.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -17,7 +16,6 @@ import numpy as np
 
 from .tables import BilinearTable
 
-DEFAULT_ON_HEIGHT_V = 4.0      # on-height for ~250 mA nominal channel current
 POWER_FIT_W_PER_DC = 0.720     # symmetric-bimorph power slope, W per unit DC
 
 
@@ -31,34 +29,18 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class ExcitationCommand:
-    """One PWM excitation: shared frequency/on-height, per-channel duty cycles."""
+    """One PWM excitation: shared frequency, per-channel duty cycles."""
 
     freq: float                       # Hz
     dc_left: float                    # per-unit in [0, 1]
     dc_right: float                   # per-unit in [0, 1]
-    on_height: float = DEFAULT_ON_HEIGHT_V  # volts
 
     def __post_init__(self):
         if self.freq <= 0:
             raise ValueError(f"freq must be positive, got {self.freq}")
-        if self.on_height <= 0:
-            raise ValueError(f"on_height must be positive, got {self.on_height}")
         for name, dc in (("dc_left", self.dc_left), ("dc_right", self.dc_right)):
             if not 0.0 <= dc <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {dc}")
-
-
-def waveform_sample(cmd: ExcitationCommand, t: float) -> tuple[float, float]:
-    """Instantaneous channel voltages at time t (s).
-
-    The left on-window starts at each period boundary; the right one starts
-    half a period later (180 degree phase shift).
-    """
-    phase = math.fmod(t * cmd.freq, 1.0)
-    left = cmd.on_height if phase < cmd.dc_left else 0.0
-    phase_r = (phase + 0.5) % 1.0
-    right = cmd.on_height if phase_r < cmd.dc_right else 0.0
-    return left, right
 
 
 def mode_of(dc_left: float, dc_right: float) -> Mode:
@@ -72,10 +54,6 @@ def mode_of(dc_left: float, dc_right: float) -> Mode:
     if dc_left == 0.0:
         return Mode.UNIMORPH_RIGHT
     return Mode.MIXED
-
-
-def classify_mode(cmd: ExcitationCommand) -> Mode:
-    return mode_of(cmd.dc_left, cmd.dc_right)
 
 
 def average_power(cmd: ExcitationCommand) -> float:

@@ -43,6 +43,9 @@ class ControlConfig:
             raise ValueError("require 0 < u_v <= u_max <= 1")
         if not (0 < self.loop_rate < math.inf and 0 < self.freq < math.inf):
             raise ValueError("freq and loop_rate must be finite and positive")
+        if any(lim is not None and not 0 < lim < math.inf
+               for lim in (self.psi_d_limit, self.integrator_limit)):
+            raise ValueError("psi_d_limit and integrator_limit must be None or finite and positive")
 
 
 @dataclass(frozen=True)

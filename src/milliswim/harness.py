@@ -527,6 +527,10 @@ def _cmd_rdf(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    for name in ("f", "app_mm", "v_mmps", "p_mw", "mass_mg", "length_mm", "nu"):
+        x, rule = getattr(args, name), "nonnegative" if name == "p_mw" else "positive"
+        if not (0 <= x < math.inf and (x > 0 or name == "p_mw")):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite and {rule}, got {x:g}")
     spec = SwimmerSpec(mass=args.mass_mg * 1e-6, length=args.length_mm * 1e-3)
     v = args.v_mmps * 1e-3
     app = args.app_mm * 1e-3

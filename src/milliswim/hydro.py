@@ -25,10 +25,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidPlanformError
-from .planform import Planform, RdfReport, chord_at, rdf_report, resistive_drag_factor
+from .planform import Planform, RdfReport, rdf_report, resistive_drag_factor
 
 MM5_TO_M5 = 1e-15
 DEFAULT_TAIL_LENGTH_MM = 12.0  # pivot-to-tip length used to convert excursion to angle
+MEAN_SQUARE_SAMPLES = 4096  # midpoint-rule samples of PlateMotion.mean_square
+# simulate_cycle's convergence bound on the period map of omega_h, relative to
+# the tail rate scale
+SETTLE_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,9 @@ class PlateMotion:
         w = 2.0 * math.pi * freq
         return PlateMotion(lambda t, a=amplitude, w=w: a * math.sin(w * t), 1.0 / freq)
 
-    def mean_square(self, n: int = 4096) -> float:
+    def mean_square(self) -> float:
         """<omega^2> over one period (midpoint rule)."""
-        t = (np.arange(n) + 0.5) * self.period / n
+        t = (np.arange(MEAN_SQUARE_SAMPLES) + 0.5) * self.period / MEAN_SQUARE_SAMPLES
         w = np.array([self.omega_fn(ti) for ti in t.tolist()])
         if not np.all(np.isfinite(w)):
             raise DomainError("omega_fn is not finite over the period")
@@ -85,37 +89,16 @@ def tail_motion_from_excursion(
     return PlateMotion.sinusoid(2.0 * math.pi * freq * math.asin(half), freq)
 
 
-def drag_force_per_length(env: FluidEnv, p: Planform, omega: float, x: float) -> float:
-    """Signed drag force per unit span at x (m from the axis), in N/m.
-
-    f(x) = -0.5 * rho * C_d * h(x) * omega*|omega| * x*|x|, with h evaluated
-    on the planform's mm scale.
-    """
-    x_mm = x * 1000.0
-    h_m = chord_at(p, x_mm) * 1e-3
-    return -0.5 * env.rho * env.c_d * h_m * omega * abs(omega) * x * abs(x)
-
-
 def reactive_torque(env: FluidEnv, p: Planform, omega: float) -> float:
     """Total reactive torque on the plate, N*m: -0.5*rho*C_d*omega*|omega|*RDF."""
     rdf_m5 = resistive_drag_factor(p) * MM5_TO_M5
     return -0.5 * env.rho * env.c_d * omega * abs(omega) * rdf_m5
 
 
-def net_body_torque(tau_r_h: float, tau_r_t: float) -> float:
-    """Total body torque: actuator torques cancel, leaving -tau_rh + tau_rt."""
-    return -tau_r_h + tau_r_t
-
-
-def balanced_head_amplitude(report: RdfReport, tail_motion: PlateMotion) -> float:
-    """Sinusoidal head rate amplitude satisfying the rectilinear balance.
-
-    Solves (amp^2 / 2) * I_h = <w_t^2> * I_t for amp.
+def balanced_head_amplitude(report: RdfReport, mean_sq_t: float) -> float:
+    """Sinusoidal head rate amplitude satisfying the rectilinear balance with a
+    tail motion whose <w_t^2> is mean_sq_t: solves (amp^2 / 2) * I_h = <w_t^2> * I_t.
     """
-    return _balanced_amplitude(report, tail_motion.mean_square())
-
-
-def _balanced_amplitude(report: RdfReport, mean_sq_t: float) -> float:
     if report.i_head <= 0:
         raise InvalidPlanformError("head RDF must be positive")
     return math.sqrt(2.0 * mean_sq_t * report.i_tail / report.i_head)
@@ -162,20 +145,16 @@ class CycleResult:
                              zip(*(c.tolist() for c in cols))))
 
 
-def default_yaw_inertia(env: FluidEnv, rdfs: RdfReport, tail_motion: PlateMotion) -> float:
-    """Lumped yaw inertia giving fast, RK4-stable head settling.
+def default_yaw_inertia(env: FluidEnv, rdfs: RdfReport, period: float, mean_sq_t: float) -> float:
+    """Lumped yaw inertia giving fast, RK4-stable head settling against a tail
+    motion of the given period and <w_t^2> = mean_sq_t.
 
     Sized so the head damping rate is ~600/period at the balanced head rate:
     transients settle well within five cycles, the quasi-steady lag error in
     <w_h^2> stays below 0.5%, and the rate remains RK4-stable at the default
     1000 steps/period.
     """
-    return _yaw_inertia(env, rdfs, tail_motion.period, tail_motion.mean_square())
-
-
-def _yaw_inertia(env: FluidEnv, rdfs: RdfReport, period: float, mean_sq_t: float) -> float:
-    """default_yaw_inertia for a tail motion whose <w_t^2> is mean_sq_t."""
-    amp_h = _balanced_amplitude(rdfs, mean_sq_t)
+    amp_h = balanced_head_amplitude(rdfs, mean_sq_t)
     if amp_h == 0.0:
         return 1e-12
     damping = env.rho * env.c_d * rdfs.i_head * MM5_TO_M5 * amp_h
@@ -191,7 +170,6 @@ def simulate_cycle(
     n_steps: int = 1000,
     rdfs: RdfReport | None = None,
     max_periods: int = 200,
-    settle_rel_tol: float = 1e-10,
 ) -> CycleResult:
     """Integrate head yaw dynamics against a prescribed tail motion to a
     periodic steady state and return one steady cycle.
@@ -199,7 +177,7 @@ def simulate_cycle(
     RDFs are taken from `rdfs` when given (e.g. stored design constants),
     otherwise computed from the planform geometry. Fixed-step classic RK4;
     convergence is declared when the period map of omega_h contracts below
-    settle_rel_tol relative to the tail rate scale.
+    SETTLE_REL_TOL relative to the tail rate scale.
     """
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100 per period")
@@ -210,7 +188,7 @@ def simulate_cycle(
     period = tail_motion.period
     mean_sq_t = tail_motion.mean_square()
     if yaw_inertia is None:
-        yaw_inertia = _yaw_inertia(env, rdfs, period, mean_sq_t)
+        yaw_inertia = default_yaw_inertia(env, rdfs, period, mean_sq_t)
     if yaw_inertia <= 0:
         raise ValueError("yaw_inertia must be positive")
 
@@ -242,7 +220,7 @@ def simulate_cycle(
         t0 = k * period
         for s in range(n_steps):
             w = rk4_step(t0 + s * dt, w)
-        if abs(w - w_start) <= settle_rel_tol * scale:
+        if abs(w - w_start) <= SETTLE_REL_TOL * scale:
             converged_at = k + 1
             break
     if converged_at is None:

@@ -19,6 +19,8 @@ DEFAULT_MASS_KG = 59e-6
 DEFAULT_LENGTH_M = 36e-3
 DEFAULT_G = 9.81
 DEFAULT_NU = 1.0e-6  # m^2/s, water near 20 C
+# trajectory_stats' turning arc: the run around the |omega| peak above this share of it
+TURN_WINDOW_FRAC = 0.9
 
 
 @dataclass(frozen=True)
@@ -28,35 +30,35 @@ class SwimmerSpec:
     g: float = DEFAULT_G              # m/s^2
 
     def __post_init__(self):
-        if min(self.mass, self.length, self.g) <= 0:
-            raise ValueError("mass, length and g must be positive")
+        if not all(0 < x < math.inf for x in (self.mass, self.length, self.g)):
+            raise ValueError("mass, length and g must be finite and positive")
 
 
 def cost_of_transport(p_avg: float, spec: SwimmerSpec, v_avg: float) -> float:
     """CoT = P / (m g v): energy per unit weight per unit distance."""
-    if v_avg <= 0:
-        raise DomainError("v_avg must be positive")
+    if not 0 < v_avg < math.inf:
+        raise DomainError("v_avg must be finite and positive")
     return p_avg / (spec.mass * spec.g * v_avg)
 
 
 def strouhal(f_o: float, a_pp: float, v_avg: float) -> float:
     """St = f * A_pp / v."""
-    if v_avg <= 0:
-        raise DomainError("v_avg must be positive")
+    if not 0 < v_avg < math.inf:
+        raise DomainError("v_avg must be finite and positive")
     return f_o * a_pp / v_avg
 
 
 def reynolds(v_avg: float, length: float, nu: float = DEFAULT_NU) -> float:
     """Re = v * L / nu."""
-    if nu <= 0:
-        raise DomainError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise DomainError("nu must be finite and positive")
     return v_avg * length / nu
 
 
 def swim_number(f_o: float, a_pp: float, length: float, nu: float = DEFAULT_NU) -> float:
     """Sw = 2 pi f A_pp L / nu = 2 pi Re St."""
-    if nu <= 0:
-        raise DomainError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise DomainError("nu must be finite and positive")
     return 2.0 * math.pi * f_o * a_pp * length / nu
 
 
@@ -86,9 +88,9 @@ def format_table(summary: dict) -> str:
     return "\n".join(lines)
 
 
-def _turning_window(omega: np.ndarray, frac: float = 0.8) -> np.ndarray:
+def _turning_window(omega: np.ndarray) -> np.ndarray:
     """Boolean mask of the contiguous run around the |omega| peak where
-    |omega| stays above frac * peak."""
+    |omega| stays above TURN_WINDOW_FRAC * peak."""
     a = np.abs(omega)
     peak = a.max()
     mask = np.zeros(a.size, dtype=bool)
@@ -96,10 +98,10 @@ def _turning_window(omega: np.ndarray, frac: float = 0.8) -> np.ndarray:
         return mask
     k = int(np.argmax(a))
     lo = k
-    while lo > 0 and a[lo - 1] >= frac * peak:
+    while lo > 0 and a[lo - 1] >= TURN_WINDOW_FRAC * peak:
         lo -= 1
     hi = k
-    while hi < a.size - 1 and a[hi + 1] >= frac * peak:
+    while hi < a.size - 1 and a[hi + 1] >= TURN_WINDOW_FRAC * peak:
         hi += 1
     mask[lo : hi + 1] = True
     return mask
@@ -165,7 +167,7 @@ def trajectory_stats(
             turn_radius_m=math.nan,
         )
 
-    turn = _turning_window(np.asarray(omega)[sel], frac=0.9)
+    turn = _turning_window(np.asarray(omega)[sel])
     if turn.any():
         w_turn = np.asarray(omega)[sel][turn]
         v_turn = np.asarray(v)[sel][turn]

@@ -31,6 +31,12 @@ RDF_MAX_BISECTIONS = 40
 # 3-point Gauss-Legendre node offset, as a share of the panel half-width.
 _GAUSS_NODE = math.sqrt(0.6)
 
+# The keys a planform JSON config holds besides "kind", per kind, in the order
+# of the arguments of the Planform builder of that name.
+PLANFORM_KEYS = {"rectangle": ("height_mm", "l1_mm", "l2_mm"),
+                 "parabola": ("height_mm", "root_mm", "l1_mm"),  # l1_mm may be left out: 0
+                 "tabulated": ("points", "l1_mm", "l2_mm")}
+
 
 @dataclass(frozen=True)
 class Planform:
@@ -45,7 +51,6 @@ class Planform:
     chord_fn: Callable[[float], float]
     l1: float
     l2: float
-    label: str = "tail"
     kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -57,11 +62,11 @@ class Planform:
             raise InvalidPlanformError("span l1 + l2 must be positive")
 
     @staticmethod
-    def rectangle(height: float, l1: float, l2: float, label: str = "tail") -> "Planform":
-        return Planform(lambda x, h=float(height): h, l1, l2, label)
+    def rectangle(height: float, l1: float, l2: float) -> "Planform":
+        return Planform(lambda x, h=float(height): h, l1, l2)
 
     @staticmethod
-    def parabola(height: float, root: float, l1: float = 0.0, label: str = "tail") -> "Planform":
+    def parabola(height: float, root: float, l1: float = 0.0) -> "Planform":
         """Parabolic chord h(x) = height * (1 - (x/root)^2), clipped at zero.
 
         With l1 > root the chord is 0 on [-l1, -root]; -root is then a kink.
@@ -70,10 +75,10 @@ class Planform:
         def h(x, h0=float(height), r=float(root)):
             return max(0.0, h0 * (1.0 - (x / r) ** 2))
 
-        return Planform(h, l1, root, label, kinks=(-float(root),) if l1 > root else ())
+        return Planform(h, l1, root, kinks=(-float(root),) if l1 > root else ())
 
     @staticmethod
-    def tabulated(points, l1: float, l2: float, label: str = "tail") -> "Planform":
+    def tabulated(points, l1: float, l2: float) -> "Planform":
         """Piecewise-linear chord through (x, h) knots that cover [-l1, l2].
 
         Knots need distinct, finite x, finite nonnegative heights, a finite
@@ -101,32 +106,25 @@ class Planform:
         def h(x, xa=np.array(xs), ha=np.array(hs)):
             return float(np.interp(x, xa, ha))
 
-        return Planform(h, l1, l2, label, kinks=xs)
+        return Planform(h, l1, l2, kinks=xs)
 
     @staticmethod
     def from_config(cfg: dict) -> "Planform":
         """Build a planform from a config mapping (see from_file for schema)."""
         kind = cfg["kind"]
-        label = cfg.get("label", "tail")
-        if kind == "rectangle":
-            return Planform.rectangle(cfg["height_mm"], cfg["l1_mm"], cfg["l2_mm"], label)
-        if kind == "parabola":
-            return Planform.parabola(
-                cfg["height_mm"], cfg["root_mm"], cfg.get("l1_mm", 0.0), label
-            )
-        if kind == "tabulated":
-            return Planform.tabulated(cfg["points"], cfg["l1_mm"], cfg["l2_mm"], label)
-        raise InvalidPlanformError(f"unknown planform kind {kind!r}")
+        if kind not in PLANFORM_KEYS:
+            raise InvalidPlanformError(f"unknown planform kind {kind!r}")
+        unknown = sorted(set(cfg) - {"kind", *PLANFORM_KEYS[kind]})
+        if unknown:
+            raise InvalidPlanformError(f"unknown key {unknown[0]!r} for a {kind} planform")
+        cfg = {"l1_mm": 0.0, **cfg} if kind == "parabola" else cfg
+        return getattr(Planform, kind)(*(cfg[key] for key in PLANFORM_KEYS[kind]))
 
     @staticmethod
     def from_file(path) -> "Planform":
-        """Load a planform from a JSON config file.
-
-        Schema: {"kind": "rectangle" | "parabola" | "tabulated",
-                 "height_mm": ..., "l1_mm": ..., "l2_mm": ...,
-                 "root_mm": ... (parabola), "points": [[x, h], ...] (tabulated),
-                 "label": "head" | "tail"}
-        """
+        """Load a planform from a JSON object: "kind" (a key of PLANFORM_KEYS) and
+        that kind's keys, lengths in mm. Any other key, "label" included, raises
+        InvalidPlanformError."""
         with open(path) as f:
             return Planform.from_config(json.load(f))
 

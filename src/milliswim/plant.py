@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .actuator import ExcitationCommand, Mode, mode_of
+from .actuator import Mode, mode_of
 from .errors import CalibrationRangeError
 from .tables import BilinearTable
 
@@ -117,12 +117,6 @@ def rates(
     return mode, v, w
 
 
-def command_to_rates(cal: PlantCalibration, cmd: ExcitationCommand) -> tuple[float, float]:
-    """Steady-state (v m/s, omega rad/s) for an excitation command; see rates."""
-    _, v, w = rates(cal, cmd.freq, cmd.dc_left, cmd.dc_right)
-    return v, w
-
-
 def advance(
     r1: float, r2: float, psi: float, v: float, w: float,
     v_cmd: float, w_cmd: float, dt: float, n: int, response_time: float,
@@ -194,12 +188,3 @@ def observe(
         return r1, r2, psi
     n1, n2, n3 = rng.normal(0.0, noise_sigma, size=3).tolist()
     return r1 + n1, r2 + n2, wrap_angle(psi + n3 / MARKER_BASELINE_M)
-
-
-def measure(
-    state: SwimmerState,
-    noise_sigma: float,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float, float]:
-    """Observation of a SwimmerState's pose; see observe."""
-    return observe(state.r1, state.r2, state.psi, noise_sigma, rng)

@@ -2,7 +2,6 @@ import csv
 from importlib import resources
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from milliswim import actuator
@@ -10,62 +9,21 @@ from milliswim.actuator import (
     ExcitationCommand,
     Mode,
     average_power,
-    classify_mode,
     default_excursion_table,
-    waveform_sample,
+    mode_of,
 )
 from milliswim.errors import CalibrationRangeError
 from milliswim.tables import BilinearTable
 
 
 class TestWaveform:
-    def test_left_window(self):
-        cmd = ExcitationCommand(freq=1.0, dc_left=0.1, dc_right=0.1, on_height=4.0)
-        assert waveform_sample(cmd, 0.05) == (4.0, 0.0)
-
-    def test_right_window(self):
-        cmd = ExcitationCommand(freq=1.0, dc_left=0.1, dc_right=0.1, on_height=4.0)
-        assert waveform_sample(cmd, 0.55) == (0.0, 4.0)
-
-    def test_zero_duty_channel_stays_off(self):
-        cmd = ExcitationCommand(freq=1.0, dc_left=0.0, dc_right=0.2)
-        for t in np.linspace(0.0, 3.0, 301):
-            assert waveform_sample(cmd, t)[0] == 0.0
-
-    def test_periodicity(self):
-        # midpoint grid: no sample coincides with a PWM window edge, so the
-        # comparison is insensitive to floating-point phase rounding
-        cmd = ExcitationCommand(freq=2.5, dc_left=0.13, dc_right=0.31)
-        ts = (np.arange(10_000) + 0.5) / 10_000 / cmd.freq
-        for t in ts:
-            assert waveform_sample(cmd, t) == waveform_sample(cmd, t + 1.0 / cmd.freq)
-
-    def test_duty_consistency(self):
-        # duty cycles aligned to the midpoint sampling grid, so the time
-        # average over one period is exact
-        n = 10_000
-        cmd = ExcitationCommand(freq=2.0, dc_left=0.07, dc_right=0.21)
-        ts = (np.arange(n) + 0.5) / n / cmd.freq
-        acc = np.zeros(2)
-        for t in ts:
-            acc += waveform_sample(cmd, t)
-        avg = acc / n
-        assert avg[0] == pytest.approx(cmd.on_height * cmd.dc_left, rel=1e-6)
-        assert avg[1] == pytest.approx(cmd.on_height * cmd.dc_right, rel=1e-6)
-
-    def test_antiphase_no_overlap(self):
-        cmd = ExcitationCommand(freq=3.0, dc_left=0.5, dc_right=0.5)
-        for t in np.linspace(0.0, 1.0, 10_000):
-            l, r = waveform_sample(cmd, t)
-            assert not (l > 0 and r > 0)
+    """The excitation command that sets the PWM waveform."""
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ExcitationCommand(freq=0.0, dc_left=0.1, dc_right=0.1)
         with pytest.raises(ValueError):
             ExcitationCommand(freq=1.0, dc_left=1.2, dc_right=0.1)
-        with pytest.raises(ValueError):
-            ExcitationCommand(freq=1.0, dc_left=0.1, dc_right=0.1, on_height=0.0)
 
 
 class TestClassifyMode:
@@ -80,7 +38,7 @@ class TestClassifyMode:
         ],
     )
     def test_modes(self, dcl, dcr, mode):
-        assert classify_mode(ExcitationCommand(freq=2.0, dc_left=dcl, dc_right=dcr)) is mode
+        assert mode_of(dcl, dcr) is mode
 
 
 class TestAveragePower:

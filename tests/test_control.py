@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from milliswim.actuator import DEFAULT_ON_HEIGHT_V, Mode, classify_mode
+from milliswim.actuator import Mode, mode_of
 from milliswim.control import (
     ControlConfig,
     ControllerState,
@@ -161,7 +161,7 @@ class TestClosedLoopTick:
         path = ReferencePath.rectilinear()
         cmd = closed_loop_tick(CFG, path, ControllerState(), 0.1, 0.0, 0.0, DT)
         assert (cmd.dc_left, cmd.dc_right) == (0.11, 0.11)
-        assert classify_mode(cmd) is Mode.BIMORPH
+        assert mode_of(cmd.dc_left, cmd.dc_right) is Mode.BIMORPH
         assert cmd.freq == 3.0
 
     def test_left_offset_right_corrective(self):
@@ -180,7 +180,7 @@ class TestClosedLoopTick:
         path = ReferencePath.rectilinear()
         cmd = closed_loop_tick(CFG, path, ControllerState(), 0.1, 0.0, -math.pi / 2, DT)
         assert (cmd.dc_left, cmd.dc_right) == (0.22, 0.0)
-        assert classify_mode(cmd) is Mode.UNIMORPH_LEFT
+        assert mode_of(cmd.dc_left, cmd.dc_right) is Mode.UNIMORPH_LEFT
 
     def test_corner_demands_turn(self):
         # just past a left-turn corner, heading still along +n1: big left demand
@@ -202,7 +202,7 @@ class TestClosedLoopTick:
                 u = tick(CFG, path, b, *pose, DT)
                 assert (cmd.dc_left.hex(), cmd.dc_right.hex()) == (u[0].hex(), u[1].hex())
                 assert a == b
-                assert (cmd.freq, cmd.on_height) == (CFG.freq, DEFAULT_ON_HEIGHT_V)
+                assert cmd.freq == CFG.freq
 
     def test_duty_cycles_always_admissible(self):
         rng = np.random.default_rng(23)
@@ -227,6 +227,14 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_gains_and_rates_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
+            ControlConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["psi_d_limit", "integrator_limit"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_clamps_rejected(self, field, value):
+        # a negative integrator limit would pin the integrator at the bound; a
+        # NaN one would switch the clamp off, as min/max pass NaN through
+        with pytest.raises(ValueError, match="None or finite and positive"):
             ControlConfig(**{field: value})
 
     def test_bad_duty_bounds(self):

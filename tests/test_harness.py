@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from milliswim import harness
-from milliswim.actuator import Mode, classify_mode
+from milliswim.actuator import Mode, mode_of
 from milliswim.control import ControlConfig, ControllerState, ReferencePath, closed_loop_tick
 from milliswim.errors import CalibrationRangeError
 from milliswim.harness import (
@@ -31,7 +31,7 @@ from milliswim.harness import (
     run_turn_sweep,
 )
 from milliswim.hydro import FluidEnv
-from milliswim.plant import PlantCalibration, SwimmerState, command_to_rates, measure, step
+from milliswim.plant import PlantCalibration, SwimmerState, observe, rates, step
 from milliswim.tables import BilinearTable
 
 # sha256 of the sweep and cycle CSVs of `milliswim --seed 7 sweep ...|cycle`.
@@ -226,9 +226,9 @@ class TestPinnedTracking:
 
 
 def object_api_run(cfg, path):
-    """The tracking loop written with the object API (SwimmerState, measure,
-    closed_loop_tick, command_to_rates, step): the reference for the log rows
-    and counters of run_tracking."""
+    """The tracking loop written with the object API (SwimmerState,
+    closed_loop_tick, step) around observe, rates and mode_of: the reference
+    for the log rows and counters of run_tracking."""
     cal = PlantCalibration.default()
     rng = np.random.default_rng(cfg.seed)
     dt = 1.0 / cfg.control.loop_rate
@@ -237,13 +237,14 @@ def object_api_run(cfg, path):
     sat, peak = {"left": 0, "right": 0}, 0.0
     for k in range(int(round(cfg.duration * cfg.control.loop_rate))):
         seg_before = ctrl.active_segment
-        cmd = closed_loop_tick(cfg.control, path, ctrl, *measure(state, cfg.noise_sigma, rng), dt)
-        v_cmd, w_cmd = command_to_rates(cal, cmd)
+        pose = observe(state.r1, state.r2, state.psi, cfg.noise_sigma, rng)
+        cmd = closed_loop_tick(cfg.control, path, ctrl, *pose, dt)
+        _, v_cmd, w_cmd = rates(cal, cmd.freq, cmd.dc_left, cmd.dc_right)
         rows.append((k * dt, state.r1, state.r2, state.psi, state.v, state.omega,
                      cmd.dc_left, cmd.dc_right))
         for _ in range(4):
             state = step(state, v_cmd, w_cmd, dt / 4, response_time=cfg.response_time)
-        modes[classify_mode(cmd).value] += 1
+        modes[mode_of(cmd.dc_left, cmd.dc_right).value] += 1
         sat["left"] += cmd.dc_left >= cfg.control.u_max
         sat["right"] += cmd.dc_right >= cfg.control.u_max
         if ctrl.active_segment != seg_before:
@@ -566,6 +567,14 @@ class TestCli:
         ('{"control": {"kp": null}}', ["track", "line"]),
         ('{"control": {"k_p": 9}}', ["track", "line"]),
         ('{"run": {"seed": 3}}', ["cycle"]),
+        ('{"kind": "parabola", "height_mm": 4, "root_mm": 10, "l1mm": 14}',
+         ["rdf", "--head", CONFIG, "--tail", CONFIG]),
+        ("", ["metrics", "--f", "nan", "--app-mm", "6.34", "--v-mmps", "13.6", "--p-mw", "72"]),
+        ("", ["metrics", "--f", "2", "--app-mm", "6.34", "--v-mmps", "13.6", "--p-mw", "inf"]),
+        ("", ["metrics", "--f", "2", "--app-mm", "6.34", "--v-mmps", "13.6", "--p-mw", "72",
+              "--nu", "nan"]),
+        ("", ["metrics", "--f", "2", "--app-mm", "6.34", "--v-mmps", "13.6", "--p-mw", "-72"]),
+        ("", ["metrics", "--f", "2", "--app-mm", "0", "--v-mmps", "13.6", "--p-mw", "72"]),
     ], ids=["ini-duration", "repeats-0", "repeats-neg", "duration-nan", "duration-0",
             "duration-inf", "ini-repeats", "noise-neg", "noise-nan", "ini-noise-neg",
             "duration-under-a-tick", "duration-under-the-stats-window",
@@ -573,7 +582,9 @@ class TestCli:
             "loop-hz-nan", "seed-neg", "no-section-header", "duplicate-option",
             "knots-too-close", "freq-below-turn-calibration", "uv-below-turn-calibration",
             "typo-key", "typo-section", "seed-not-int", "snapshot-seed-not-int",
-            "snapshot-seed-bool", "snapshot-null", "snapshot-typo-key", "snapshot-run-object"])
+            "snapshot-seed-bool", "snapshot-null", "snapshot-typo-key", "snapshot-run-object",
+            "planform-typo-key", "metrics-f-nan", "metrics-p-inf", "metrics-nu-nan",
+            "metrics-p-negative", "metrics-app-0"])
     def test_invalid_final_config_exit_1(self, tmp_path, capsys, ini, argv):
         # a config that starts with "{" is JSON (a snapshot, or for rdf a planform)
         cfg = tmp_path / ("exp.json" if ini.startswith("{") else "exp.ini")
@@ -581,7 +592,9 @@ class TestCli:
         out = tmp_path / "run"
         argv = [str(cfg) if a is CONFIG else a for a in argv]
         assert cli_main(["--config", str(cfg), "--out", str(out), *argv]) == 1
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""  # no table printed
         assert not out.exists()
 
     def test_ini_repeats_take_effect(self, tmp_path, capsys):

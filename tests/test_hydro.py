@@ -15,46 +15,43 @@ from milliswim.hydro import (
     PlateMotion,
     balanced_head_amplitude,
     default_yaw_inertia,
-    drag_force_per_length,
-    net_body_torque,
     reactive_torque,
     simulate_cycle,
     tail_motion_from_excursion,
 )
-from milliswim.planform import Planform, rdf_report_from_constants
+from milliswim.planform import Planform, chord_at, rdf_report_from_constants
 
 NEW_RDFS = rdf_report_from_constants(1.14e5, 1.07e4)
 
 
 class TestDragForcePerLength:
+    """The quadratic-drag rule on a whole plate (reactive_torque), and the span
+    check of the chord it integrates."""
+
     def test_zero_omega(self):
         env = FluidEnv(rho=1000.0, c_d=2.0)
         p = Planform.rectangle(10.0, 20.0, 20.0)
-        assert drag_force_per_length(env, p, 0.0, 0.01) == 0.0
-
-    def test_axis_point(self):
-        env = FluidEnv()
-        p = Planform.rectangle(10.0, 20.0, 20.0)
-        assert drag_force_per_length(env, p, 3.0, 0.0) == 0.0
+        assert reactive_torque(env, p, 0.0) == 0.0
 
     def test_hand_checked_value(self):
-        # -0.5 * 1000 * 2 * 0.01 * 1*|1| * 0.01*|0.01| = -1e-3 N/m
+        # RDF = 2 * 10 * 20^4 / 4 = 8e5 mm^5 = 8e-10 m^5:
+        # -0.5 * 1000 * 2 * 1*|1| * 8e-10 = -8e-7 N*m
         env = FluidEnv(rho=1000.0, c_d=2.0)
         p = Planform.rectangle(10.0, 20.0, 20.0)
-        assert drag_force_per_length(env, p, 1.0, 0.01) == pytest.approx(-1e-3)
+        assert reactive_torque(env, p, 1.0) == pytest.approx(-8e-7, rel=1e-9)
 
     def test_opposes_local_velocity(self):
+        # a plate on either side of the axis: the torque opposes the rotation
         env = FluidEnv()
-        p = Planform.rectangle(10.0, 20.0, 20.0)
-        for omega, x in [(2.0, 0.01), (-2.0, 0.01), (2.0, -0.01), (-2.0, -0.01)]:
-            f = drag_force_per_length(env, p, omega, x)
-            assert math.copysign(1.0, f) == -math.copysign(1.0, omega * x)
+        for p in (Planform.rectangle(10.0, 0.0, 20.0), Planform.rectangle(10.0, 20.0, 0.0)):
+            for omega in (2.0, -2.0):
+                tau = reactive_torque(env, p, omega)
+                assert math.copysign(1.0, tau) == -math.copysign(1.0, omega)
 
     def test_out_of_span(self):
-        env = FluidEnv()
         p = Planform.rectangle(10.0, 5.0, 5.0)
         with pytest.raises(DomainError):
-            drag_force_per_length(env, p, 1.0, 0.006)
+            chord_at(p, 6.0)
 
 
 @pytest.mark.parametrize("name", ["rho", "c_d", "nu"])
@@ -97,32 +94,43 @@ class TestReactiveTorque:
 
 
 class TestNetBodyTorque:
+    """The actuator torques cancel in the body total: simulate_cycle's
+    tau_b = -tau_rh + tau_rt."""
+
     def test_balanced(self):
-        assert net_body_torque(5e-7, 5e-7) == 0.0
+        res = simulate_cycle(FluidEnv(), None, None, PlateMotion.sinusoid(1.0, 2.0), rdfs=NEW_RDFS)
+        assert np.array_equal(res.tau_b, res.tau_rt - res.tau_rh)
+        assert abs(np.mean(res.tau_b)) < 1e-3 * res.torque_scale
 
     def test_head_only(self):
-        assert net_body_torque(2.5e-7, 0.0) == -2.5e-7
+        # a tail that beats one way only and is still for the other half period:
+        # there only the head's torque acts
+        beat = PlateMotion(lambda t: max(0.0, math.sin(4.0 * math.pi * t)), period=0.5)
+        res = simulate_cycle(FluidEnv(), None, None, beat, rdfs=NEW_RDFS)
+        still = res.tau_rt == 0.0
+        assert still.sum() >= 400 and np.all(res.tau_rh[still] != 0.0)
+        assert np.array_equal(res.tau_b[still], -res.tau_rh[still])
 
 
 class TestBalancedHeadAmplitude:
     def test_symmetric(self):
         rdfs = rdf_report_from_constants(1.0e4, 1.0e4)
         m = PlateMotion.sinusoid(3.0, 2.0)
-        assert balanced_head_amplitude(rdfs, m) == pytest.approx(3.0, rel=1e-6)
+        assert balanced_head_amplitude(rdfs, m.mean_square()) == pytest.approx(3.0, rel=1e-6)
 
     def test_design_ratio(self):
         m = PlateMotion.sinusoid(1.0, 2.0)
-        amp = balanced_head_amplitude(NEW_RDFS, m)
+        amp = balanced_head_amplitude(NEW_RDFS, m.mean_square())
         assert amp == pytest.approx(1.0 / math.sqrt(10.654), rel=1e-3)
 
     def test_large_head_rdf_anchors(self):
         m = PlateMotion.sinusoid(1.0, 2.0)
         huge = rdf_report_from_constants(1e12, 1.07e4)
-        assert balanced_head_amplitude(huge, m) < 1e-3
+        assert balanced_head_amplitude(huge, m.mean_square()) < 1e-3
 
     def test_satisfies_balance_identity(self):
         m = PlateMotion.sinusoid(2.2, 3.0)
-        amp = balanced_head_amplitude(NEW_RDFS, m)
+        amp = balanced_head_amplitude(NEW_RDFS, m.mean_square())
         lhs = amp**2 / 2.0 * NEW_RDFS.i_head
         rhs = m.mean_square() * NEW_RDFS.i_tail
         assert lhs == pytest.approx(rhs, rel=1e-9)
@@ -137,7 +145,7 @@ class TestSimulateCycle:
 
     def test_symmetric_cycle_has_zero_mean_rotation(self):
         m = PlateMotion.sinusoid(1.5, 2.0)
-        head = Planform.rectangle(10.0, 5.0, 5.0, "head")
+        head = Planform.rectangle(10.0, 5.0, 5.0)
         res = simulate_cycle(FluidEnv(), head, head, m)
         assert abs(np.mean(res.omega_h)) < 1e-4 * np.max(np.abs(res.omega_h))
 
@@ -155,7 +163,7 @@ class TestSimulateCycle:
     def test_matches_balanced_amplitude_closed_form(self):
         m = PlateMotion.sinusoid(1.0, 2.0)
         res = simulate_cycle(FluidEnv(), None, None, m, rdfs=NEW_RDFS)
-        amp = balanced_head_amplitude(NEW_RDFS, m)
+        amp = balanced_head_amplitude(NEW_RDFS, m.mean_square())
         assert res.mean_sq_omega_h == pytest.approx(amp**2 / 2.0, rel=0.02)
 
     def test_step_halving_converged(self):
@@ -174,7 +182,7 @@ class TestSimulateCycle:
 
         m = PlateMotion.sinusoid(1.0, 2.0)
         env = FluidEnv()
-        slow = 6000.0 * default_yaw_inertia(env, NEW_RDFS, m)
+        slow = 6000.0 * default_yaw_inertia(env, NEW_RDFS, m.period, m.mean_square())
         with pytest.raises(ConvergenceError):
             simulate_cycle(
                 env, None, None, m, rdfs=NEW_RDFS,
@@ -203,11 +211,13 @@ def _pinned_cycle_cases():
         rng = np.random.default_rng(seed)
         freq, amp = rng.uniform(0.5, 5.0), rng.uniform(0.2, 3.0)
         cases[f"seed{seed}"] = PlateMotion.sinusoid(amp, freq), {}
+    def inertia(m):
+        return default_yaw_inertia(FluidEnv(), NEW_RDFS, m.period, m.mean_square())
+
     m = PlateMotion.sinusoid(1.3, 2.5)
-    cases["inertia"] = m, {"yaw_inertia": 40.0 * default_yaw_inertia(FluidEnv(), NEW_RDFS, m)}
+    cases["inertia"] = m, {"yaw_inertia": 40.0 * inertia(m)}
     m = PlateMotion.sinusoid(0.8, 1.7)
-    cases["n100"] = m, {
-        "n_steps": 100, "yaw_inertia": 10.0 * default_yaw_inertia(FluidEnv(), NEW_RDFS, m)}
+    cases["n100"] = m, {"n_steps": 100, "yaw_inertia": 10.0 * inertia(m)}
     cases["excursion"] = tail_motion_from_excursion(6.34, 2.0), {}
     return cases
 

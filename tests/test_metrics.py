@@ -102,6 +102,24 @@ class TestSwimNumber:
             )
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: cost_of_transport(72e-3, SPEC, x),
+    lambda x: strouhal(2.0, 6.34e-3, x),
+    lambda x: reynolds(0.01, 0.036, nu=x),
+    lambda x: swim_number(2.0, 6.34e-3, 0.036, nu=x),
+], ids=["cot-v", "st-v", "re-nu", "sw-nu"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_divisor_rejected(call, bad):
+    with pytest.raises(DomainError):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", ["mass", "length", "g"])
+def test_swimmer_spec_must_be_finite(name):
+    with pytest.raises(ValueError, match="finite and positive"):
+        SwimmerSpec(**{name: math.nan})
+
+
 class TestSummaryFormatting:
     def test_fields(self, capsys):
         argv = ["metrics", "--f", "2", "--app-mm", "6.34", "--v-mmps", "13.6", "--p-mw", "72"]

@@ -267,7 +267,7 @@ class TestRdfReport:
         assert r.ratio_head_over_tail < 1.0  # tail out-drags the head
 
     def test_identical_planforms(self):
-        p = Planform.rectangle(10.0, 5.0, 5.0, "head")
+        p = Planform.rectangle(10.0, 5.0, 5.0)
         r = rdf_report(p, p)
         assert r.ratio_head_over_tail == pytest.approx(1.0, rel=1e-12)
 
@@ -291,12 +291,24 @@ class TestConfigLoading:
     def test_rectangle_roundtrip(self, tmp_path):
         cfg = tmp_path / "head.json"
         cfg.write_text(json.dumps(
-            {"kind": "rectangle", "height_mm": 10.0, "l1_mm": 5.0, "l2_mm": 5.0,
-             "label": "head"}
+            {"kind": "rectangle", "height_mm": 10.0, "l1_mm": 5.0, "l2_mm": 5.0}
         ))
         p = Planform.from_file(cfg)
-        assert p.label == "head"
         assert resistive_drag_factor(p) == pytest.approx(3125.0, rel=1e-10)
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"kind": "parabola", "height_mm": 4, "root_mm": 10, "l1mm": 14}, "l1mm"),
+        ({"kind": "rectangle", "height_mm": 1, "l1_mm": 1, "l2_mm": 1, "label": "head"}, "label"),
+        ({"kind": "tabulated", "points": [[0, 1], [1, 1]], "l1_mm": 0, "l2_mm": 1,
+          "root_mm": 1}, "root_mm"),
+    ], ids=["typo", "label", "other-kinds-key"])
+    def test_unknown_key_rejected(self, cfg, key):
+        with pytest.raises(InvalidPlanformError, match=f"unknown key '{key}'"):
+            Planform.from_config(cfg)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidPlanformError, match="unknown planform kind 'circle'"):
+            Planform.from_config({"kind": "circle"})
 
     def test_parabola(self, tmp_path):
         cfg = tmp_path / "tail.json"

@@ -4,15 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from milliswim.actuator import ExcitationCommand, classify_mode
+from milliswim.actuator import mode_of
 from milliswim.errors import CalibrationRangeError
 from milliswim.plant import (
     DEG,
     PlantCalibration,
     SwimmerState,
     advance,
-    command_to_rates,
-    measure,
     observe,
     rates,
     step,
@@ -49,47 +47,55 @@ class TestWrapAngle:
 
 class TestCommandToRates:
     def test_idle(self):
-        assert command_to_rates(CAL, ExcitationCommand(2.0, 0.0, 0.0)) == (0.0, 0.0)
+        assert rates(CAL, 2.0, 0.0, 0.0)[1:] == (0.0, 0.0)
 
     def test_bimorph_measured_speed(self):
-        v, w = command_to_rates(CAL, ExcitationCommand(2.0, 0.10, 0.10))
+        v, w = rates(CAL, 2.0, 0.10, 0.10)[1:]
         assert v == pytest.approx(13.6e-3)
         assert w == 0.0
 
     def test_unimorph_left_measured_rate(self):
-        v, w = command_to_rates(CAL, ExcitationCommand(2.0, 0.12, 0.0))
+        v, w = rates(CAL, 2.0, 0.12, 0.0)[1:]
         assert w == pytest.approx(12.0 * DEG)
         assert v == pytest.approx(abs(w) * CAL.turn_radius_left)
 
     def test_unimorph_right_measured_rate(self):
-        v, w = command_to_rates(CAL, ExcitationCommand(5.0, 0.0, 0.15))
+        v, w = rates(CAL, 5.0, 0.0, 0.15)[1:]
         assert w == pytest.approx(-8.9 * DEG)
         assert v == pytest.approx(abs(w) * CAL.turn_radius_right)
 
     def test_node_exactness(self):
         for i, f in enumerate(CAL.speed_map.freqs):
             for j, d in enumerate(CAL.speed_map.dcs):
-                v, w = command_to_rates(CAL, ExcitationCommand(float(f), float(d), float(d)))
+                v, w = rates(CAL, float(f), float(d), float(d))[1:]
                 assert v == CAL.speed_map.values[i, j] * 1e-3
                 assert w == 0.0
 
     def test_mixed_endpoints_match_unimorph(self):
         # asymmetry -> 1 recovers the left-unimorph rate at the dominant duty
-        v_mix, w_mix = command_to_rates(CAL, ExcitationCommand(3.0, 0.12, 0.08))
+        v_mix, w_mix = rates(CAL, 3.0, 0.12, 0.08)[1:]
         asym = (0.12 - 0.08) / (0.12 + 0.08)
         w_left = CAL.turn_map_left(3.0, 0.12) * DEG
         assert w_mix == pytest.approx(asym * w_left)
         assert v_mix == pytest.approx(CAL.speed_map(3.0, 0.10) * 1e-3)
 
     def test_mixed_right_bias_sign(self):
-        _, w = command_to_rates(CAL, ExcitationCommand(3.0, 0.08, 0.12))
+        _, w = rates(CAL, 3.0, 0.08, 0.12)[1:]
         assert w < 0.0
 
     def test_outside_hull(self):
         with pytest.raises(CalibrationRangeError):
-            command_to_rates(CAL, ExcitationCommand(2.0, 0.5, 0.5))
+            rates(CAL, 2.0, 0.5, 0.5)
         with pytest.raises(CalibrationRangeError):
-            command_to_rates(CAL, ExcitationCommand(9.0, 0.10, 0.10))
+            rates(CAL, 9.0, 0.10, 0.10)
+
+    def test_mode_is_mode_of(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            dl, dr = (float(x) for x in rng.choice([0.0, 0.05, 0.11, 0.15], 2))
+            if rng.uniform() < 0.5:
+                dl, dr = (float(x) for x in rng.uniform(0.05, 0.15, 2))
+            assert rates(CAL, float(rng.uniform(1.0, 5.0)), dl, dr)[0] is mode_of(dl, dr)
 
 
 class TestStep:
@@ -172,27 +178,30 @@ class TestStep:
 
 class TestMeasure:
     def test_noiseless_passthrough(self):
-        s = SwimmerState(r1=0.1, r2=-0.2, psi=1.0)
-        assert measure(s, 0.0) == (0.1, -0.2, 1.0)
+        assert observe(0.1, -0.2, 1.0, 0.0) == (0.1, -0.2, 1.0)
 
     def test_noise_statistics(self):
         rng = np.random.default_rng(101)
         sigma = 0.1e-3
-        s = SwimmerState()
-        obs = np.array([measure(s, sigma, rng) for _ in range(100_000)])
+        obs = np.array([observe(0.0, 0.0, 0.0, sigma, rng) for _ in range(100_000)])
         assert np.std(obs[:, 0]) == pytest.approx(sigma, rel=0.03)
         assert np.std(obs[:, 1]) == pytest.approx(sigma, rel=0.03)
         assert abs(np.mean(obs[:, 0])) < 3 * sigma / math.sqrt(100_000) * 3
 
     def test_fixed_seed_determinism(self):
-        s = SwimmerState(r1=0.05)
-        a = [measure(s, 1e-3, np.random.default_rng(42)) for _ in range(1)]
-        b = [measure(s, 1e-3, np.random.default_rng(42)) for _ in range(1)]
+        a = observe(0.05, 0.0, 0.0, 1e-3, np.random.default_rng(42))
+        b = observe(0.05, 0.0, 0.0, 1e-3, np.random.default_rng(42))
         assert a == b
 
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
-            measure(SwimmerState(), -1e-3)
+            observe(0.0, 0.0, 0.0, -1e-3)
+
+    def test_one_size3_draw_per_observation(self):
+        # the heading noise is the third draw over the 0.01 m marker baseline
+        got = observe(0.01, -0.02, 3.1, 1e-3, np.random.default_rng(4))
+        n = np.random.default_rng(4).normal(0.0, 1e-3, size=3)
+        assert bits(*got) == bits(0.01 + n[0], -0.02 + n[1], wrap_angle(3.1 + n[2] / 0.01))
 
 
 def reference_step(state, v_cmd, omega_cmd, dt, response_time):
@@ -219,8 +228,7 @@ def bits(*xs):
 
 
 class TestFloatKernels:
-    """The object API delegates to the float kernels and matches them, and the
-    SwimmerState form of a step, bit for bit."""
+    """advance matches chained SwimmerState steps, and step, bit for bit."""
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_advance_matches_chained_steps(self, tau):
@@ -239,27 +247,6 @@ class TestFloatKernels:
             ref1 = reference_step(s, v_cmd, w_cmd, 1e-3, tau)
             assert bits(one.r1, one.r2, one.psi, one.v, one.omega) == bits(
                 ref1.r1, ref1.r2, ref1.psi, ref1.v, ref1.omega)
-
-    def test_command_to_rates_is_rates(self):
-        rng = np.random.default_rng(12)
-        for _ in range(500):
-            f = float(rng.uniform(1.0, 5.0))
-            dl, dr = (float(x) for x in rng.choice([0.0, 0.05, 0.11, 0.15], 2))
-            if rng.uniform() < 0.5:
-                dl, dr = (float(x) for x in rng.uniform(0.05, 0.15, 2))
-            mode, v, w = rates(CAL, f, dl, dr)
-            cmd = ExcitationCommand(f, dl, dr)
-            assert mode is classify_mode(cmd)
-            assert bits(*command_to_rates(CAL, cmd)) == bits(v, w)
-
-    def test_measure_is_observe(self):
-        s = SwimmerState(r1=0.01, r2=-0.02, psi=3.1)
-        a = measure(s, 1e-3, np.random.default_rng(4))
-        b = observe(s.r1, s.r2, s.psi, 1e-3, np.random.default_rng(4))
-        assert bits(*a) == bits(*b)
-        # one size-3 normal draw per observation
-        n = np.random.default_rng(4).normal(0.0, 1e-3, size=3)
-        assert bits(*a) == bits(s.r1 + n[0], s.r2 + n[1], wrap_angle(s.psi + n[2] / 0.01))
 
 
 def write_grid(path, side_values):
