@@ -9,6 +9,7 @@ between the two supplies.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -36,8 +37,8 @@ class ExcitationCommand:
     dc_right: float                   # per-unit in [0, 1]
 
     def __post_init__(self):
-        if self.freq <= 0:
-            raise ValueError(f"freq must be positive, got {self.freq}")
+        if not 0 < self.freq < math.inf:
+            raise ValueError(f"freq must be finite and positive, got {self.freq}")
         for name, dc in (("dc_left", self.dc_left), ("dc_right", self.dc_right)):
             if not 0.0 <= dc <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {dc}")

@@ -38,7 +38,11 @@ def cost_of_transport(p_avg: float, spec: SwimmerSpec, v_avg: float) -> float:
     """CoT = P / (m g v): energy per unit weight per unit distance."""
     if not 0 < v_avg < math.inf:
         raise DomainError("v_avg must be finite and positive")
-    return p_avg / (spec.mass * spec.g * v_avg)
+    weight_speed = spec.mass * spec.g * v_avg
+    cot = p_avg / weight_speed if weight_speed else math.inf
+    if not math.isfinite(cot):
+        raise DomainError(f"cost of transport is not finite at v_avg={v_avg:g}")
+    return cot
 
 
 def strouhal(f_o: float, a_pp: float, v_avg: float) -> float:

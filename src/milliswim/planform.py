@@ -3,7 +3,9 @@
 A planform is a chord-height profile h(x) over a span [-l1, l2] measured from
 the plate's rotation axis, in mm. The resistive drag factor (RDF) is the
 integral of h(x)*|x|^3 over the span (mm^5); it scales the quadratic-drag
-reactive torque acting on the plate.
+reactive torque acting on the plate. The builders (rectangle, parabola,
+tabulated) record their chord as polynomial pieces, whose RDF is exact; a bare
+chord function is integrated adaptively.
 """
 
 from __future__ import annotations
@@ -38,6 +40,19 @@ PLANFORM_KEYS = {"rectangle": ("height_mm", "l1_mm", "l2_mm"),
                  "tabulated": ("points", "l1_mm", "l2_mm")}
 
 
+def _is_number(v) -> bool:
+    """Whether a JSON value is a number (true and false are not)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _height(height) -> float:
+    """A builder's chord height, checked to be finite and nonnegative."""
+    h = float(height)
+    if not 0 <= h < math.inf:
+        raise InvalidPlanformError(f"height must be finite and nonnegative, got {h:g}")
+    return h
+
+
 @dataclass(frozen=True)
 class Planform:
     """Chord profile of a head or tail plate.
@@ -46,12 +61,17 @@ class Planform:
     over [-l1, l2] with the rotation axis at x = 0. kinks lists the x values
     where the chord's slope jumps (the knots of a tabulated chord, a clipped
     parabola's clip point); the RDF quadrature splits its panels there.
+
+    pieces, set by the builders, holds the same chord as polynomial pieces
+    (lo, hi, x0, h0, slope, curv): h(x) = h0 + u*(slope + u*curv) with
+    u = x - x0 on [lo, hi], and h = 0 on the span outside every piece.
     """
 
     chord_fn: Callable[[float], float]
     l1: float
     l2: float
     kinks: tuple[float, ...] = ()
+    pieces: tuple[tuple[float, float, float, float, float, float], ...] = ()
 
     def __post_init__(self):
         if not (math.isfinite(self.l1) and math.isfinite(self.l2)):
@@ -63,7 +83,8 @@ class Planform:
 
     @staticmethod
     def rectangle(height: float, l1: float, l2: float) -> "Planform":
-        return Planform(lambda x, h=float(height): h, l1, l2)
+        h = _height(height)
+        return Planform(lambda x: h, l1, l2, pieces=((-float(l1), float(l2), 0.0, h, 0.0, 0.0),))
 
     @staticmethod
     def parabola(height: float, root: float, l1: float = 0.0) -> "Planform":
@@ -71,11 +92,15 @@ class Planform:
 
         With l1 > root the chord is 0 on [-l1, -root]; -root is then a kink.
         """
+        h0, r = _height(height), float(root)
+        if not 0 < r < math.inf:
+            raise InvalidPlanformError(f"root must be finite and positive, got {r:g}")
 
-        def h(x, h0=float(height), r=float(root)):
+        def h(x):
             return max(0.0, h0 * (1.0 - (x / r) ** 2))
 
-        return Planform(h, l1, root, kinks=(-float(root),) if l1 > root else ())
+        return Planform(h, l1, r, kinks=(-r,) if l1 > r else (),
+                        pieces=((-min(float(l1), r), r, 0.0, h0, 0.0, -h0 / r / r),))
 
     @staticmethod
     def tabulated(points, l1: float, l2: float) -> "Planform":
@@ -86,6 +111,7 @@ class Planform:
         accepted.
         """
         pts = sorted((float(x), float(h)) for x, h in points)
+        l1, l2 = float(l1), float(l2)
         if len(pts) < 2:
             raise InvalidPlanformError("a tabulated chord needs at least 2 knots")
         if not all(math.isfinite(v) for pt in pts for v in pt):
@@ -106,19 +132,33 @@ class Planform:
         def h(x, xa=np.array(xs), ha=np.array(hs)):
             return float(np.interp(x, xa, ha))
 
-        return Planform(h, l1, l2, kinks=xs)
+        # one linear piece per knot interval that overlaps the span, in the
+        # interval's local coordinate as np.interp evaluates it
+        pieces = tuple((max(x0, -l1), min(x1, l2), x0, h0, (h1 - h0) / (x1 - x0), 0.0)
+                       for x0, x1, h0, h1 in zip(xs, xs[1:], hs, hs[1:]) if x0 < l2 and x1 > -l1)
+        return Planform(h, l1, l2, kinks=xs, pieces=pieces)
 
     @staticmethod
     def from_config(cfg: dict) -> "Planform":
         """Build a planform from a config mapping (see from_file for schema)."""
-        kind = cfg["kind"]
-        if kind not in PLANFORM_KEYS:
+        if not isinstance(cfg, dict):
+            raise InvalidPlanformError(f"a planform config is a JSON object, not {cfg!r}")
+        kind = cfg.get("kind")
+        if not isinstance(kind, str) or kind not in PLANFORM_KEYS:
             raise InvalidPlanformError(f"unknown planform kind {kind!r}")
         unknown = sorted(set(cfg) - {"kind", *PLANFORM_KEYS[kind]})
         if unknown:
             raise InvalidPlanformError(f"unknown key {unknown[0]!r} for a {kind} planform")
         cfg = {"l1_mm": 0.0, **cfg} if kind == "parabola" else cfg
-        return getattr(Planform, kind)(*(cfg[key] for key in PLANFORM_KEYS[kind]))
+        args = [cfg[key] for key in PLANFORM_KEYS[kind]]
+        for key, v in zip(PLANFORM_KEYS[kind], args):
+            if key != "points" and not _is_number(v):
+                raise InvalidPlanformError(f"{key} must be a number, got {v!r}")
+            if key == "points" and not (isinstance(v, list) and all(
+                    isinstance(pt, list) and len(pt) == 2 and all(map(_is_number, pt))
+                    for pt in v)):
+                raise InvalidPlanformError(f"points must be a list of [x, h] numbers, got {v!r}")
+        return getattr(Planform, kind)(*args)
 
     @staticmethod
     def from_file(path) -> "Planform":
@@ -157,6 +197,18 @@ def chord_at(p: Planform, x: float) -> float:
     return float(h)
 
 
+def _gauss3(f, a, b):
+    """3-point Gauss-Legendre estimate of the integral of f over [a, b], a < b."""
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    # A panel narrower than sys.float_info.min (a few subnormals by the axis)
+    # gets one evaluation, at its midpoint c: its nodes c -+ d could round out
+    # of it, and out of the span. The integrand underflows to 0 there.
+    if r < 1.1125369292536007e-308:  # 0.5 * sys.float_info.min
+        return (b - a) * f(c)
+    d = r * _GAUSS_NODE
+    return r * (5.0 * f(c - d) + 8.0 * f(c) + 5.0 * f(c + d)) / 9.0
+
+
 def _adaptive_gauss(f, a, b):
     """Adaptive 3-point Gauss-Legendre on [a, b], a < b.
 
@@ -164,40 +216,46 @@ def _adaptive_gauss(f, a, b):
     err/63 is the Richardson correction for the rule's degree-6 error.
     """
 
-    def gauss(a_, b_):
-        c, r = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
-        # A panel narrower than sys.float_info.min (a few subnormals by the axis)
-        # gets one evaluation, at its midpoint c: its nodes c -+ d could round out
-        # of it, and out of the span. The integrand underflows to 0 there.
-        if r < 1.1125369292536007e-308:  # 0.5 * sys.float_info.min
-            return (b_ - a_) * f(c)
-        d = r * _GAUSS_NODE
-        return r * (5.0 * f(c - d) + 8.0 * f(c) + 5.0 * f(c + d)) / 9.0
-
     def recurse(a_, b_, whole, depth):
         m = 0.5 * (a_ + b_)
-        left, right = gauss(a_, m), gauss(m, b_)
+        left, right = _gauss3(f, a_, m), _gauss3(f, m, b_)
         err = left + right - whole
         scale = max(abs(left + right), 1e-300)
         if depth <= 0 or abs(err) <= 63.0 * RDF_PANEL_REL_TOL * scale:
             return left + right + err / 63.0
         return recurse(a_, m, left, depth - 1) + recurse(m, b_, right, depth - 1)
 
-    return recurse(a, b, gauss(a, b), RDF_MAX_BISECTIONS)
+    return recurse(a, b, _gauss3(f, a, b), RDF_MAX_BISECTIONS)
 
 
 def resistive_drag_factor(p: Planform) -> float:
     """RDF = integral of h(x)*|x|^3 dx over [-l1, l2], in mm^5.
 
-    Runs adaptive 3-point Gauss-Legendre over the panels between consecutive
-    points of {-l1, 0, l2} and the chord's kinks strictly inside the span, so
-    neither the |x|^3 kink at the axis nor a chord kink lies inside a panel.
-    Where the chord is a polynomial of degree <= 2 on a panel (rectangle,
-    parabola, each linear piece of a tabulated chord) the integrand has degree
-    <= 5, which the rule integrates exactly: the panel is accepted after 9
-    chord evaluations. The nodes are interior, so neither the axis nor a span
-    end is evaluated, bar the midpoint of a panel only subnormals wide.
+    A builder planform's chord is polynomial pieces of degree <= 2, so on each
+    piece, split at the axis, the integrand is a polynomial of degree <= 5,
+    which one 3-point Gauss-Legendre panel integrates exactly; no chord_at call
+    is made. A bare chord_fn runs adaptive 3-point Gauss-Legendre over the
+    panels between consecutive points of {-l1, 0, l2} and the kinks strictly
+    inside the span, so neither the |x|^3 kink at the axis nor a chord kink
+    lies inside a panel; a panel on which the chord is a polynomial of degree
+    <= 2 is accepted after 9 chord evaluations. Either way the nodes are
+    interior, so neither the axis nor a span end is evaluated, bar the
+    midpoint of a panel only subnormals wide.
     """
+    if p.pieces:
+        panels = []
+        for lo, hi, x0, h0, slope, curv in p.pieces:
+            def f(x):
+                u = x - x0
+                return (h0 + u * (slope + u * curv)) * abs(x) ** 3
+
+            for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
+                if a < b:
+                    panels.append(_gauss3(f, a, b))
+        rdf = math.fsum(panels)
+        if not math.isfinite(rdf):
+            raise DomainError(f"RDF is not finite: {rdf:g}")
+        return rdf
 
     def integrand(x):
         v = chord_at(p, x) * abs(x) ** 3

@@ -1,4 +1,5 @@
 import csv
+import math
 from importlib import resources
 from types import SimpleNamespace
 
@@ -24,6 +25,11 @@ class TestWaveform:
             ExcitationCommand(freq=0.0, dc_left=0.1, dc_right=0.1)
         with pytest.raises(ValueError):
             ExcitationCommand(freq=1.0, dc_left=1.2, dc_right=0.1)
+
+    @pytest.mark.parametrize("freq", [math.nan, math.inf])
+    def test_non_finite_freq_rejected(self, freq):
+        with pytest.raises(ValueError, match="freq must be finite and positive"):
+            ExcitationCommand(freq=freq, dc_left=0.1, dc_right=0.1)
 
 
 class TestClassifyMode:

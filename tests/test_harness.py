@@ -575,6 +575,16 @@ class TestCli:
               "--nu", "nan"]),
         ("", ["metrics", "--f", "2", "--app-mm", "6.34", "--v-mmps", "13.6", "--p-mw", "-72"]),
         ("", ["metrics", "--f", "2", "--app-mm", "0", "--v-mmps", "13.6", "--p-mw", "72"]),
+        ("", ["metrics", "--f", "2", "--app-mm", "6", "--v-mmps", "1e-320", "--p-mw", "72"]),
+        ("[1, 2]", ["rdf", "--head", CONFIG, "--tail", CONFIG]),
+        ('{"kind": "parabola", "height_mm": null, "root_mm": 10}',
+         ["rdf", "--head", CONFIG, "--tail", CONFIG]),
+        ('{"kind": "rectangle", "height_mm": 1, "l1_mm": "2", "l2_mm": 1}',
+         ["rdf", "--head", CONFIG, "--tail", CONFIG]),
+        ('{"kind": "tabulated", "points": [[0, 1], null], "l1_mm": 0, "l2_mm": 1}',
+         ["rdf", "--head", CONFIG, "--tail", CONFIG]),
+        ('{"kind": "parabola", "height_mm": -3, "root_mm": 10}',
+         ["rdf", "--head", CONFIG, "--tail", CONFIG]),
     ], ids=["ini-duration", "repeats-0", "repeats-neg", "duration-nan", "duration-0",
             "duration-inf", "ini-repeats", "noise-neg", "noise-nan", "ini-noise-neg",
             "duration-under-a-tick", "duration-under-the-stats-window",
@@ -584,7 +594,9 @@ class TestCli:
             "typo-key", "typo-section", "seed-not-int", "snapshot-seed-not-int",
             "snapshot-seed-bool", "snapshot-null", "snapshot-typo-key", "snapshot-run-object",
             "planform-typo-key", "metrics-f-nan", "metrics-p-inf", "metrics-nu-nan",
-            "metrics-p-negative", "metrics-app-0"])
+            "metrics-p-negative", "metrics-app-0", "metrics-cot-not-finite",
+            "planform-not-an-object", "planform-null", "planform-string",
+            "planform-points-null", "planform-negative-height"])
     def test_invalid_final_config_exit_1(self, tmp_path, capsys, ini, argv):
         # a config that starts with "{" is JSON (a snapshot, or for rdf a planform)
         cfg = tmp_path / ("exp.json" if ini.startswith("{") else "exp.ini")

@@ -43,6 +43,12 @@ class TestCostOfTransport:
         with pytest.raises(DomainError):
             cost_of_transport(72e-3, SPEC, 0.0)
 
+    @pytest.mark.parametrize("v", [1e-323, 1e-310])
+    def test_speed_too_small_for_a_finite_cost(self, v):
+        # m*g*v underflows to 0 (1e-323) or P/(m*g*v) overflows (1e-310)
+        with pytest.raises(DomainError, match="not finite"):
+            cost_of_transport(72e-3, SPEC, v)
+
 
 class TestStrouhal:
     def test_reference_point(self):

@@ -94,6 +94,30 @@ def tabulated_knots(draw):
     return list(zip(xs, hs)), l1, l2
 
 
+@st.composite
+def builder_planforms(draw):
+    """A rectangle, a parabola (clipped when l1 > root) or a tabulated chord."""
+    kind = draw(st.sampled_from(["rectangle", "parabola", "tabulated"]))
+    if kind == "rectangle":
+        l1, l2 = draw(span_mm), draw(span_mm)
+        assume(l1 + l2 > 0)
+        return Planform.rectangle(draw(height_mm), l1, l2)
+    if kind == "parabola":
+        root = draw(st.floats(2.0, 25.0))
+        return Planform.parabola(draw(height_mm), root, draw(st.floats(0.0, 2.0)) * root)
+    knots, l1, l2 = draw(tabulated_knots())
+    return Planform.tabulated(knots, l1, l2)
+
+
+def piece_chord(p, x):
+    """The chord at x from p.pieces: the piece that holds x, else 0."""
+    for lo, hi, x0, h0, slope, curv in p.pieces:
+        if lo <= x <= hi:
+            u = x - x0
+            return h0 + u * (slope + u * curv)
+    return 0.0
+
+
 class TestChordAt:
     def test_rectangle_center(self):
         p = Planform.rectangle(10.0, 5.0, 5.0)
@@ -254,6 +278,62 @@ class TestChordEvaluationBudget:
         value, xs = counted_rdf(monkeypatch, Planform(chord, l1, l2))
         assert value == pytest.approx(ref, rel=1e-9)
         assert len(xs) > 18  # bisected beyond the first pass
+
+
+class TestPieces:
+    """Builder planforms integrate their polynomial pieces, not chord_fn."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(builder_planforms())
+    def test_matches_adaptive_rule(self, p):
+        bare = Planform(p.chord_fn, p.l1, p.l2, p.kinks)
+        assert not bare.pieces
+        assert resistive_drag_factor(p) == pytest.approx(
+            resistive_drag_factor(bare), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [
+        Planform.rectangle(3.0, 5.0, 7.0),
+        Planform.parabola(8.0, 12.0, 5.0),
+        Planform.parabola(4.0, 10.0, 14.0),
+        Planform.tabulated([(-6.0, 1.0), (4.0, 9.0), (4.0 + 3.4e-3, 0.5), (18.0, 7.0)],
+                           6.0, 18.0),
+    ], ids=["rectangle", "parabola", "clipped-parabola", "tabulated"])
+    def test_no_chord_evaluations(self, monkeypatch, p):
+        value, xs = counted_rdf(monkeypatch, p)
+        assert value > 0
+        assert xs == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(builder_planforms(), st.floats(0.0, 1.0))
+    def test_pieces_are_the_chord(self, p, t):
+        x = min(-p.l1 + t * (p.l1 + p.l2), p.l2)
+        assert piece_chord(p, x) == pytest.approx(chord_at(p, x), rel=1e-12, abs=1e-12)
+
+    def test_pieces_cover_the_span(self):
+        assert Planform.rectangle(2.0, 1.0, 3.0).pieces == ((-1.0, 3.0, 0.0, 2.0, 0.0, 0.0),)
+        # the clipped parabola's piece ends at its clip point -root
+        (lo, hi, *_), = Planform.parabola(4.0, 10.0, 14.0).pieces
+        assert (lo, hi) == (-10.0, 10.0)
+        # knot intervals outside the span give no piece; the rest are clipped to it
+        p = Planform.tabulated([(-9.0, 1.0), (-5.0, 2.0), (0.0, 6.0), (10.0, 0.0), (12.0, 1.0)],
+                               5.0, 10.0)
+        assert [(lo, hi, x0) for lo, hi, x0, *_ in p.pieces] == [
+            (-5.0, 0.0, -5.0), (0.0, 10.0, 0.0)]
+
+    @pytest.mark.parametrize("build, args", [
+        (Planform.rectangle, (math.nan, 1.0, 1.0)),
+        (Planform.rectangle, (math.inf, 1.0, 1.0)),
+        (Planform.rectangle, (-1.0, 1.0, 1.0)),
+        (Planform.parabola, (-3.0, 10.0)),
+        (Planform.parabola, (math.nan, 10.0)),
+        (Planform.parabola, (math.inf, 10.0, 2.0)),
+        (Planform.parabola, (1.0, 0.0, 1.0)),
+        (Planform.parabola, (1.0, -2.0, 1.0)),
+    ], ids=["rect-nan", "rect-inf", "rect-neg", "para-neg", "para-nan", "para-inf",
+            "para-root-0", "para-root-neg"])
+    def test_bad_height_or_root_rejected(self, build, args):
+        with pytest.raises(InvalidPlanformError, match="height|root"):
+            build(*args)
 
 
 class TestRdfReport:
