@@ -20,19 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InvalidPlanformError
+from .errors import ConvergenceError, DomainError
 from .planform import Planform, RdfReport, rdf_report, resistive_drag_factor
 
 MM5_TO_M5 = 1e-15
 DEFAULT_TAIL_LENGTH_MM = 12.0  # pivot-to-tip length used to convert excursion to angle
-MEAN_SQUARE_SAMPLES = 4096  # midpoint-rule samples of PlateMotion.mean_square
 # simulate_cycle's convergence bound on the period map of omega_h, relative to
 # the tail rate scale
 SETTLE_REL_TOL = 1e-10
+MAX_PERIODS = 200  # simulate_cycle's ConvergenceError bound
 
 
 @dataclass(frozen=True)
@@ -51,28 +50,29 @@ class FluidEnv:
 
 @dataclass(frozen=True)
 class PlateMotion:
-    """Prescribed signed angular speed of a plate over one period."""
+    """Sinusoidal signed angular speed of a plate: amplitude * sin(2*pi*freq*t)."""
 
-    omega_fn: Callable[[float], float]  # s -> rad/s
-    period: float                       # s
+    amplitude: float  # rad/s
+    freq: float       # Hz
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
+        if not 0 < self.freq < math.inf:
+            raise ValueError("freq must be finite and positive")
 
     @staticmethod
     def sinusoid(amplitude: float, freq: float) -> "PlateMotion":
         """omega(t) = amplitude * sin(2*pi*freq*t)."""
-        w = 2.0 * math.pi * freq
-        return PlateMotion(lambda t, a=amplitude, w=w: a * math.sin(w * t), 1.0 / freq)
+        return PlateMotion(amplitude, freq)
+
+    @property
+    def period(self) -> float:
+        return 1.0 / self.freq
 
     def mean_square(self) -> float:
-        """<omega^2> over one period (midpoint rule)."""
-        t = (np.arange(MEAN_SQUARE_SAMPLES) + 0.5) * self.period / MEAN_SQUARE_SAMPLES
-        w = np.array([self.omega_fn(ti) for ti in t.tolist()])
-        if not np.all(np.isfinite(w)):
-            raise DomainError("omega_fn is not finite over the period")
-        return float(np.mean(w**2))
+        """<omega^2> over one period: amplitude^2 / 2."""
+        return 0.5 * self.amplitude * self.amplitude
 
 
 def tail_motion_from_excursion(
@@ -99,8 +99,6 @@ def balanced_head_amplitude(report: RdfReport, mean_sq_t: float) -> float:
     """Sinusoidal head rate amplitude satisfying the rectilinear balance with a
     tail motion whose <w_t^2> is mean_sq_t: solves (amp^2 / 2) * I_h = <w_t^2> * I_t.
     """
-    if report.i_head <= 0:
-        raise InvalidPlanformError("head RDF must be positive")
     return math.sqrt(2.0 * mean_sq_t * report.i_tail / report.i_head)
 
 
@@ -169,15 +167,16 @@ def simulate_cycle(
     yaw_inertia: float | None = None,
     n_steps: int = 1000,
     rdfs: RdfReport | None = None,
-    max_periods: int = 200,
 ) -> CycleResult:
-    """Integrate head yaw dynamics against a prescribed tail motion to a
-    periodic steady state and return one steady cycle.
+    """Integrate head yaw dynamics against a prescribed sinusoidal tail motion
+    to a periodic steady state and return one steady cycle.
 
     RDFs are taken from `rdfs` when given (e.g. stored design constants),
-    otherwise computed from the planform geometry. Fixed-step classic RK4;
+    otherwise computed from the planform geometry. Fixed-step classic RK4 with
+    the tail rate amplitude * sin(2*pi*freq*t) evaluated at each stage time;
     convergence is declared when the period map of omega_h contracts below
-    SETTLE_REL_TOL relative to the tail rate scale.
+    SETTLE_REL_TOL relative to the tail rate scale sqrt(<w_t^2>), and
+    ConvergenceError is raised if it has not within MAX_PERIODS periods.
     """
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100 per period")
@@ -196,12 +195,16 @@ def simulate_cycle(
     i_t = rdfs.i_tail * MM5_TO_M5
     half_rho_cd = 0.5 * env.rho * env.c_d
     dt = period / n_steps
-    omega_t_fn = tail_motion.omega_fn
+    amp = tail_motion.amplitude
+    w_tail = 2.0 * math.pi * tail_motion.freq
+    sin = math.sin
 
     def rk4_step(t, w):
         # slope = half_rho_cd * (w_t*|w_t|*i_t - w*|w|*i_h) / yaw_inertia;
         # k2 and k3 share the midpoint tail rate
-        a, b, c = omega_t_fn(t), omega_t_fn(t + 0.5 * dt), omega_t_fn(t + dt)
+        a = amp * sin(w_tail * t)
+        b = amp * sin(w_tail * (t + 0.5 * dt))
+        c = amp * sin(w_tail * (t + dt))
         drive_a, drive_b, drive_c = a * abs(a) * i_t, b * abs(b) * i_t, c * abs(c) * i_t
         k1 = half_rho_cd * (drive_a - w * abs(w) * i_h) / yaw_inertia
         w2 = w + 0.5 * dt * k1
@@ -215,7 +218,7 @@ def simulate_cycle(
     scale = math.sqrt(mean_sq_t) or 1.0
     w = 0.0
     converged_at = None
-    for k in range(max_periods):
+    for k in range(MAX_PERIODS):
         w_start = w
         t0 = k * period
         for s in range(n_steps):
@@ -225,7 +228,7 @@ def simulate_cycle(
             break
     if converged_at is None:
         raise ConvergenceError(
-            f"head yaw did not reach a periodic steady state in {max_periods} periods"
+            f"head yaw did not reach a periodic steady state in {MAX_PERIODS} periods"
         )
 
     # record one steady cycle
@@ -237,7 +240,7 @@ def simulate_cycle(
         t = t0 + s * dt
         t_rec[s] = t - t0
         w_h[s] = w
-        w_t[s] = omega_t_fn(t)
+        w_t[s] = amp * sin(w_tail * t)
         w = rk4_step(t, w)
 
     tau_rh = half_rho_cd * w_h * np.abs(w_h) * i_h

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from milliswim import hydro
 from milliswim.errors import ConvergenceError, DomainError
 from milliswim.hydro import (
     CycleResult,
@@ -102,14 +103,19 @@ class TestNetBodyTorque:
         assert np.array_equal(res.tau_b, res.tau_rt - res.tau_rh)
         assert abs(np.mean(res.tau_b)) < 1e-3 * res.torque_scale
 
-    def test_head_only(self):
-        # a tail that beats one way only and is still for the other half period:
-        # there only the head's torque acts
-        beat = PlateMotion(lambda t: max(0.0, math.sin(4.0 * math.pi * t)), period=0.5)
-        res = simulate_cycle(FluidEnv(), None, None, beat, rdfs=NEW_RDFS)
-        still = res.tau_rt == 0.0
-        assert still.sum() >= 400 and np.all(res.tau_rh[still] != 0.0)
-        assert np.array_equal(res.tau_b[still], -res.tau_rh[still])
+
+class TestPlateMotion:
+    @pytest.mark.parametrize("amplitude,freq", [
+        (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1.0),
+        (math.nan, 2.0), (math.inf, 2.0),
+    ], ids=["freq-nan", "freq-inf", "freq-0", "freq-neg", "amp-nan", "amp-inf"])
+    def test_rejected_at_construction(self, amplitude, freq):
+        with pytest.raises(ValueError, match="must be finite"):
+            PlateMotion(amplitude, freq)
+
+    def test_closed_form(self):
+        m = PlateMotion.sinusoid(-3.0, 4.0)
+        assert (m.period, m.mean_square()) == (0.25, 4.5)
 
 
 class TestBalancedHeadAmplitude:
@@ -138,7 +144,7 @@ class TestBalancedHeadAmplitude:
 
 class TestSimulateCycle:
     def test_zero_tail_motion(self):
-        still = PlateMotion(lambda t: 0.0, period=0.5)
+        still = PlateMotion.sinusoid(0.0, 2.0)
         res = simulate_cycle(FluidEnv(), None, None, still, rdfs=NEW_RDFS)
         assert np.all(res.omega_h == 0.0)
         assert np.all(res.tau_b == 0.0)
@@ -175,19 +181,15 @@ class TestSimulateCycle:
             np.mean(np.abs(fine.tau_rh)), rel=1e-4
         )
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         # inertia thousands of times the default: the head still drifts
         # measurably each period but needs far more than 3 periods to settle
-        from milliswim.hydro import default_yaw_inertia
-
+        monkeypatch.setattr(hydro, "MAX_PERIODS", 3)
         m = PlateMotion.sinusoid(1.0, 2.0)
         env = FluidEnv()
         slow = 6000.0 * default_yaw_inertia(env, NEW_RDFS, m.period, m.mean_square())
-        with pytest.raises(ConvergenceError):
-            simulate_cycle(
-                env, None, None, m, rdfs=NEW_RDFS,
-                yaw_inertia=slow, max_periods=3,
-            )
+        with pytest.raises(ConvergenceError, match="in 3 periods"):
+            simulate_cycle(env, None, None, m, rdfs=NEW_RDFS, yaw_inertia=slow)
 
     def test_requires_minimum_steps(self):
         m = PlateMotion.sinusoid(1.0, 2.0)
@@ -244,10 +246,8 @@ def test_cycle_arrays_pinned(name):
 class TestTailMotionFromExcursion:
     def test_amplitude_matches_geometry(self):
         m = tail_motion_from_excursion(6.34, 2.0, tail_length_mm=12.0)
-        theta = math.asin(0.5 * 6.34 / 12.0)
-        assert max(m.omega_fn(t) for t in np.linspace(0, 0.5, 501)) == pytest.approx(
-            2 * math.pi * 2.0 * theta, rel=1e-6
-        )
+        assert m.amplitude == 2.0 * math.pi * 2.0 * math.asin(0.5 * 6.34 / 12.0)
+        assert m.freq == 2.0
 
     def test_excursion_too_large(self):
         with pytest.raises(DomainError):
