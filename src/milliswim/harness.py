@@ -371,12 +371,9 @@ def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: 
         t_log, r1_log, r2_log, _, v_log, w_log, _, _ = (
             np.frombuffer(c, dtype=float) for c in log
         )
-        ts = trajectory_stats(
+        stats.update(trajectory_stats(
             t_log, r1_log, r2_log, v_log, w_log, path_obj, STATS_WINDOW_FRAC * cfg.duration
-        )
-        stats.update(ts.as_dict())
-        if not math.isnan(ts.mean_turn_rate_radps):
-            stats["mean_turn_rate_degps"] = math.degrees(ts.mean_turn_rate_radps)
+        ))
     return TrackingResult(log_path=log_path, stats=stats, failed=failed, counters=counters)
 
 

@@ -34,52 +34,41 @@ class SwimmerSpec:
             raise ValueError("mass, length and g must be finite and positive")
 
 
+def _finite(value: float, name: str, divisor: str, x: float) -> float:
+    """value, or DomainError when a tiny finite divisor x made it inf or nan."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} is not finite at {divisor}={x:g}")
+    return value
+
+
 def cost_of_transport(p_avg: float, spec: SwimmerSpec, v_avg: float) -> float:
     """CoT = P / (m g v): energy per unit weight per unit distance."""
     if not 0 < v_avg < math.inf:
         raise DomainError("v_avg must be finite and positive")
     weight_speed = spec.mass * spec.g * v_avg
     cot = p_avg / weight_speed if weight_speed else math.inf
-    if not math.isfinite(cot):
-        raise DomainError(f"cost of transport is not finite at v_avg={v_avg:g}")
-    return cot
+    return _finite(cot, "cost of transport", "v_avg", v_avg)
 
 
 def strouhal(f_o: float, a_pp: float, v_avg: float) -> float:
     """St = f * A_pp / v."""
     if not 0 < v_avg < math.inf:
         raise DomainError("v_avg must be finite and positive")
-    return f_o * a_pp / v_avg
+    return _finite(f_o * a_pp / v_avg, "Strouhal number", "v_avg", v_avg)
 
 
 def reynolds(v_avg: float, length: float, nu: float = DEFAULT_NU) -> float:
     """Re = v * L / nu."""
     if not 0 < nu < math.inf:
         raise DomainError("nu must be finite and positive")
-    return v_avg * length / nu
+    return _finite(v_avg * length / nu, "Reynolds number", "nu", nu)
 
 
 def swim_number(f_o: float, a_pp: float, length: float, nu: float = DEFAULT_NU) -> float:
     """Sw = 2 pi f A_pp L / nu = 2 pi Re St."""
     if not 0 < nu < math.inf:
         raise DomainError("nu must be finite and positive")
-    return 2.0 * math.pi * f_o * a_pp * length / nu
-
-
-@dataclass
-class TrajectoryStats:
-    rms_error_m: float
-    mean_speed_mps: float
-    mean_turn_rate_radps: float
-    turn_radius_m: float  # nan when there is no turning content
-
-    def as_dict(self) -> dict:
-        return {
-            "rms_error_m": self.rms_error_m,
-            "mean_speed_mps": self.mean_speed_mps,
-            "mean_turn_rate_radps": self.mean_turn_rate_radps,
-            "turn_radius_m": None if math.isnan(self.turn_radius_m) else self.turn_radius_m,
-        }
+    return _finite(2.0 * math.pi * f_o * a_pp * length / nu, "swim number", "nu", nu)
 
 
 def format_table(summary: dict) -> str:
@@ -146,13 +135,15 @@ def trajectory_stats(
     omega: np.ndarray,
     path: ReferencePath,
     window: float,
-) -> TrajectoryStats:
-    """Tracking statistics over the trailing `window` seconds of a log.
+) -> dict:
+    """Tracking statistics over the trailing `window` seconds of a log, as the
+    stats.json fields rms_error_m, mean_speed_mps, mean_turn_rate_radps,
+    mean_turn_rate_degps and turn_radius_m.
 
     The RMS error uses the per-sample lateral error along the active
     segment's axis, replaying the path's own segment-switching rule. Turn
     rate and radius are taken over the contiguous peak-yaw-rate window (the
-    main turning arc); on paths without turning content the radius is nan.
+    main turning arc); on paths without turning content the radius is None.
     """
     t = np.asarray(t, dtype=float)
     if t.size == 0 or t[-1] - t[0] < window:
@@ -160,31 +151,24 @@ def trajectory_stats(
     sel = t >= t[-1] - window
 
     errs = lateral_errors(path, r1, r2)
-    rms = float(np.sqrt(np.mean(errs[sel] ** 2)))
-    mean_speed = float(np.mean(v[sel]))
-
+    omega_sel = np.asarray(omega)[sel]
+    radius = None
     if path.kind == "rectilinear":
-        return TrajectoryStats(
-            rms_error_m=rms,
-            mean_speed_mps=mean_speed,
-            mean_turn_rate_radps=float(np.mean(np.asarray(omega)[sel])),
-            turn_radius_m=math.nan,
-        )
-
-    turn = _turning_window(np.asarray(omega)[sel])
-    if turn.any():
-        w_turn = np.asarray(omega)[sel][turn]
-        v_turn = np.asarray(v)[sel][turn]
-        mean_rate = float(np.mean(w_turn))
-        # median of the per-sample osculating radius: robust against the
-        # first-order-lag ramp at the ends of the arc
-        radius = float(np.median(v_turn / np.abs(w_turn)))
+        mean_rate = float(np.mean(omega_sel))
     else:
-        mean_rate = 0.0
-        radius = math.nan
-    return TrajectoryStats(
-        rms_error_m=rms,
-        mean_speed_mps=mean_speed,
-        mean_turn_rate_radps=mean_rate,
-        turn_radius_m=radius,
-    )
+        turn = _turning_window(omega_sel)
+        if turn.any():
+            w_turn = omega_sel[turn]
+            mean_rate = float(np.mean(w_turn))
+            # median of the per-sample osculating radius: robust against the
+            # first-order-lag ramp at the ends of the arc
+            radius = float(np.median(np.asarray(v)[sel][turn] / np.abs(w_turn)))
+        else:
+            mean_rate = 0.0
+    return {
+        "rms_error_m": float(np.sqrt(np.mean(errs[sel] ** 2))),
+        "mean_speed_mps": float(np.mean(v[sel])),
+        "mean_turn_rate_radps": mean_rate,
+        "mean_turn_rate_degps": math.degrees(mean_rate),
+        "turn_radius_m": radius,
+    }

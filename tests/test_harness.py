@@ -576,6 +576,8 @@ class TestCli:
         ("", ["metrics", "--f", "2", "--app-mm", "6.34", "--v-mmps", "13.6", "--p-mw", "-72"]),
         ("", ["metrics", "--f", "2", "--app-mm", "0", "--v-mmps", "13.6", "--p-mw", "72"]),
         ("", ["metrics", "--f", "2", "--app-mm", "6", "--v-mmps", "1e-320", "--p-mw", "72"]),
+        ("", ["metrics", "--f", "2", "--app-mm", "6", "--v-mmps", "13.6", "--p-mw", "72",
+              "--nu", "1e-320"]),
         ("[1, 2]", ["rdf", "--head", CONFIG, "--tail", CONFIG]),
         ('{"kind": "parabola", "height_mm": null, "root_mm": 10}',
          ["rdf", "--head", CONFIG, "--tail", CONFIG]),
@@ -595,6 +597,7 @@ class TestCli:
             "snapshot-seed-bool", "snapshot-null", "snapshot-typo-key", "snapshot-run-object",
             "planform-typo-key", "metrics-f-nan", "metrics-p-inf", "metrics-nu-nan",
             "metrics-p-negative", "metrics-app-0", "metrics-cot-not-finite",
+            "metrics-nu-tiny",
             "planform-not-an-object", "planform-null", "planform-string",
             "planform-points-null", "planform-negative-height"])
     def test_invalid_final_config_exit_1(self, tmp_path, capsys, ini, argv):

@@ -114,8 +114,9 @@ class TestSwimNumber:
     lambda x: reynolds(0.01, 0.036, nu=x),
     lambda x: swim_number(2.0, 6.34e-3, 0.036, nu=x),
 ], ids=["cot-v", "st-v", "re-nu", "sw-nu"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e-320, 1e-323])
 def test_non_finite_divisor_rejected(call, bad):
+    # a tiny finite divisor overflows the quotient to inf
     with pytest.raises(DomainError):
         call(bad)
 
@@ -138,11 +139,11 @@ class TestSummaryFormatting:
         assert "9304" in txt and "0.93" in txt
 
     def test_stats_json_roundtrip(self):
-        from milliswim.metrics import TrajectoryStats
-
-        ts = TrajectoryStats(2.6e-3, 9.1e-3, 0.0, math.nan)
-        d = json.loads(json.dumps(ts.as_dict()))
-        assert d["rms_error_m"] == 2.6e-3
+        t, r1, r2, v, w = straight_log(offset=2.6e-3)
+        st = trajectory_stats(t, r1, r2, v, w, ReferencePath.rectilinear(), 10.0)
+        d = json.loads(json.dumps(st))
+        assert d == st
+        assert d["rms_error_m"] == pytest.approx(2.6e-3)
         assert d["turn_radius_m"] is None
 
 
@@ -155,14 +156,14 @@ class TestTrajectoryStats:
     def test_on_path_zero_rms(self):
         t, r1, r2, v, w = straight_log()
         st = trajectory_stats(t, r1, r2, v, w, ReferencePath.rectilinear(), 10.0)
-        assert st.rms_error_m == 0.0
-        assert st.mean_speed_mps == pytest.approx(10e-3)
-        assert math.isnan(st.turn_radius_m)
+        assert st["rms_error_m"] == 0.0
+        assert st["mean_speed_mps"] == pytest.approx(10e-3)
+        assert st["turn_radius_m"] is None
 
     def test_constant_offset(self):
         t, r1, r2, v, w = straight_log(offset=2.6e-3)
         st = trajectory_stats(t, r1, r2, v, w, ReferencePath.rectilinear(), 10.0)
-        assert st.rms_error_m == pytest.approx(2.6e-3)
+        assert st["rms_error_m"] == pytest.approx(2.6e-3)
 
     def test_synthetic_circle_radius(self):
         # quarter-circle turn appended to a straight approach
@@ -181,8 +182,9 @@ class TestTrajectoryStats:
         st = trajectory_stats(
             t, r1, r2, v_arr, w_arr, ReferencePath.left_turn(corner=10.0), t[-1] - t[0]
         )
-        assert st.turn_radius_m == pytest.approx(v / w_turn, rel=0.005)
-        assert st.mean_turn_rate_radps == pytest.approx(w_turn, rel=0.005)
+        assert st["turn_radius_m"] == pytest.approx(v / w_turn, rel=0.005)
+        assert st["mean_turn_rate_radps"] == pytest.approx(w_turn, rel=0.005)
+        assert st["mean_turn_rate_degps"] == math.degrees(st["mean_turn_rate_radps"])
 
     def test_translation_invariance(self):
         t, r1, r2, v, w = straight_log(offset=1e-3)
@@ -195,7 +197,7 @@ class TestTrajectoryStats:
             "rectilinear",
         )
         moved = trajectory_stats(t, r1, r2 + 0.5, v, w, shifted_path, 10.0)
-        assert moved.rms_error_m == pytest.approx(base.rms_error_m, abs=1e-12)
+        assert moved["rms_error_m"] == pytest.approx(base["rms_error_m"], abs=1e-12)
 
     def test_short_log_rejected(self):
         t, r1, r2, v, w = straight_log(n=11)
