@@ -91,7 +91,7 @@ CONFIG_SCHEMA = {
         "loop_hz": ("control.loop_rate", float),
     },
     "plant": {"noise_sigma_m": ("noise_sigma", float), "response_time_s": ("response_time", float)},
-    "fluid": {"rho": ("fluid.rho", float), "c_d": ("fluid.c_d", float), "nu": ("fluid.nu", float)},
+    "fluid": {"rho": ("fluid.rho", float), "c_d": ("fluid.c_d", float)},
     "cycle": {
         "freq_hz": ("cycle_freq", float), "tail_amp_radps": ("cycle_tail_amp", float),
         "i_head_mm5": ("cycle_i_head", float), "i_tail_mm5": ("cycle_i_tail", float),

@@ -41,10 +41,9 @@ class FluidEnv:
 
     rho: float = 1000.0   # kg/m^3
     c_d: float = 1.9      # dimensionless
-    nu: float = 1.0e-6    # m^2/s
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.rho, self.c_d, self.nu)):
+        if not all(0 < v < math.inf for v in (self.rho, self.c_d)):
             raise ValueError("fluid properties must be finite and positive")
 
 

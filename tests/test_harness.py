@@ -313,8 +313,7 @@ def configs(draw):
         ),
         noise_sigma=draw(finite(0.0, 1.0)),
         response_time=draw(finite(0.0, 10.0)),
-        fluid=FluidEnv(rho=draw(finite(1e-6, 1e6)), c_d=draw(finite(1e-6, 10.0)),
-                       nu=draw(finite(1e-12, 1.0))),
+        fluid=FluidEnv(rho=draw(finite(1e-6, 1e6)), c_d=draw(finite(1e-6, 10.0))),
         cycle_freq=draw(finite(1e-3, 1e3)),
         cycle_tail_amp=draw(finite(-1e3, 1e3)),
         cycle_i_head=draw(finite(1e-6, 1e12)),
@@ -567,6 +566,7 @@ class TestCli:
         ('{"control": {"kp": null}}', ["track", "line"]),
         ('{"control": {"k_p": 9}}', ["track", "line"]),
         ('{"run": {"seed": 3}}', ["cycle"]),
+        ('{"fluid": {"rho": 1000.0, "c_d": 1.9, "nu": 1e-06}}', ["cycle"]),
         ('{"kind": "parabola", "height_mm": 4, "root_mm": 10, "l1mm": 14}',
          ["rdf", "--head", CONFIG, "--tail", CONFIG]),
         ("", ["metrics", "--f", "nan", "--app-mm", "6.34", "--v-mmps", "13.6", "--p-mw", "72"]),
@@ -595,6 +595,7 @@ class TestCli:
             "knots-too-close", "freq-below-turn-calibration", "uv-below-turn-calibration",
             "typo-key", "typo-section", "seed-not-int", "snapshot-seed-not-int",
             "snapshot-seed-bool", "snapshot-null", "snapshot-typo-key", "snapshot-run-object",
+            "snapshot-fluid-nu",
             "planform-typo-key", "metrics-f-nan", "metrics-p-inf", "metrics-nu-nan",
             "metrics-p-negative", "metrics-app-0", "metrics-cot-not-finite",
             "metrics-nu-tiny",
