@@ -196,14 +196,13 @@ def simulate_cycle(
     dt = period / n_steps
     amp = tail_motion.amplitude
     w_tail = 2.0 * math.pi * tail_motion.freq
-    sin = math.sin
 
     def rk4_step(t, w):
         # slope = half_rho_cd * (w_t*|w_t|*i_t - w*|w|*i_h) / yaw_inertia;
         # k2 and k3 share the midpoint tail rate
-        a = amp * sin(w_tail * t)
-        b = amp * sin(w_tail * (t + 0.5 * dt))
-        c = amp * sin(w_tail * (t + dt))
+        a = amp * math.sin(w_tail * t)
+        b = amp * math.sin(w_tail * (t + 0.5 * dt))
+        c = amp * math.sin(w_tail * (t + dt))
         drive_a, drive_b, drive_c = a * abs(a) * i_t, b * abs(b) * i_t, c * abs(c) * i_t
         k1 = half_rho_cd * (drive_a - w * abs(w) * i_h) / yaw_inertia
         w2 = w + 0.5 * dt * k1
@@ -239,7 +238,7 @@ def simulate_cycle(
         t = t0 + s * dt
         t_rec[s] = t - t0
         w_h[s] = w
-        w_t[s] = amp * sin(w_tail * t)
+        w_t[s] = amp * math.sin(w_tail * t)
         w = rk4_step(t, w)
 
     tau_rh = half_rho_cd * w_h * np.abs(w_h) * i_h
