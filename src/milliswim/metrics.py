@@ -35,7 +35,8 @@ class SwimmerSpec:
 
 
 def _finite(value: float, name: str, divisor: str, x: float) -> float:
-    """value, or DomainError when a tiny finite divisor x made it inf or nan."""
+    """value, or DomainError naming the divisor x when value is inf or nan (a
+    tiny finite divisor overflows the quotient)."""
     if not math.isfinite(value):
         raise DomainError(f"{name} is not finite at {divisor}={x:g}")
     return value
@@ -151,7 +152,7 @@ def trajectory_stats(
     sel = t >= t[-1] - window
 
     errs = lateral_errors(path, r1, r2)
-    omega_sel = np.asarray(omega)[sel]
+    v_sel, omega_sel = np.asarray(v)[sel], np.asarray(omega)[sel]
     radius = None
     if path.kind == "rectilinear":
         mean_rate = float(np.mean(omega_sel))
@@ -162,12 +163,12 @@ def trajectory_stats(
             mean_rate = float(np.mean(w_turn))
             # median of the per-sample osculating radius: robust against the
             # first-order-lag ramp at the ends of the arc
-            radius = float(np.median(np.asarray(v)[sel][turn] / np.abs(w_turn)))
+            radius = float(np.median(v_sel[turn] / np.abs(w_turn)))
         else:
             mean_rate = 0.0
     return {
         "rms_error_m": float(np.sqrt(np.mean(errs[sel] ** 2))),
-        "mean_speed_mps": float(np.mean(v[sel])),
+        "mean_speed_mps": float(np.mean(v_sel)),
         "mean_turn_rate_radps": mean_rate,
         "mean_turn_rate_degps": math.degrees(mean_rate),
         "turn_radius_m": radius,
