@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
 from .tables import BilinearTable
 
 POWER_FIT_W_PER_DC = 0.720     # symmetric-bimorph power slope, W per unit DC
@@ -71,6 +69,6 @@ def default_excursion_table() -> BilinearTable:
     as the auxiliary grid, from the calibration shipped with the package."""
     with resources.as_file(resources.files("milliswim.data") / "excursion.csv") as p:
         table = BilinearTable.from_csv(p, "app_mm", "esd_mm")["both"]
-    if np.any(table.values < 0):
+    if min(map(min, table.values)) < 0:
         raise ValueError("excursions must be nonnegative")
     return table

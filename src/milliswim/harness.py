@@ -23,7 +23,6 @@ from array import array
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import ClassVar
 
 import numpy as np
 
@@ -53,7 +52,6 @@ from .planform import (
     OLD_DESIGN_RDF_HEAD,
     OLD_DESIGN_RDF_TAIL,
     Planform,
-    RdfReport,
     rdf_report,
     rdf_report_from_constants,
 )
@@ -119,10 +117,8 @@ class ExperimentConfig:
     cycle_i_tail: float = NEW_DESIGN_RDF_TAIL
     cycle_n_steps: int = 1000
 
-    KINDS: ClassVar[tuple[str, ...]]  # the keys of RUNNERS, set below it
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         for name in ("repeats", "duration", "abort_error_m", "cycle_freq", "cycle_i_head",
                      "cycle_i_tail"):
@@ -246,10 +242,10 @@ def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
                     st = strouhal(fr, app, v_mmps) if v_mmps > 0 else float("nan")
                 except CalibrationRangeError:
                     st = float("nan")
+                i, j = table.node(fr, dc)
                 yield [
-                    _fmt(fr), f"{dc:.2f}", _fmt(app), _fmt(table.aux[table.node(fr, dc)]),
-                    _fmt(p_mw), "n/a" if math.isnan(st) else _fmt(st),
-                    table.node_provenance(fr, dc),
+                    _fmt(fr), f"{dc:.2f}", _fmt(app), _fmt(table.aux[i][j]),
+                    _fmt(p_mw), "n/a" if math.isnan(st) else _fmt(st), table.provenance[i][j],
                 ]
 
     header = ["freq_hz", "dc_pu", "app_mm", "esd_mm", "p_mw", "st", "provenance"]
@@ -443,7 +439,7 @@ def run_constrained_cycle(cfg: ExperimentConfig) -> Path:
 
 
 # Every experiment kind: its runner and the CLI (command, argument) that
-# selects it. The CLI and ExperimentConfig.KINDS read this.
+# selects it. The CLI and ExperimentConfig read this.
 RUNNERS = {
     "excursion_sweep": (run_excursion_sweep, "sweep", "excursion"),
     "speed_sweep": (run_speed_sweep, "sweep", "speed"),
@@ -453,7 +449,6 @@ RUNNERS = {
     "track_right": (run_tracking, "track", "right"),
     "constrained_cycle": (run_constrained_cycle, "cycle", None),
 }
-ExperimentConfig.KINDS = tuple(RUNNERS)
 CLI_KINDS = {(command, arg): kind for kind, (_, command, arg) in RUNNERS.items()}
 
 

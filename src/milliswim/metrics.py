@@ -60,6 +60,8 @@ def strouhal(f_o: float, a_pp: float, v_avg: float) -> float:
 
 def reynolds(v_avg: float, length: float, nu: float = DEFAULT_NU) -> float:
     """Re = v * L / nu."""
+    if not 0 <= v_avg < math.inf:
+        raise DomainError("v_avg must be finite and nonnegative")
     if not 0 < nu < math.inf:
         raise DomainError("nu must be finite and positive")
     return _finite(v_avg * length / nu, "Reynolds number", "nu", nu)

@@ -3,9 +3,9 @@
 A planform is a chord-height profile h(x) over a span [-l1, l2] measured from
 the plate's rotation axis, in mm. The resistive drag factor (RDF) is the
 integral of h(x)*|x|^3 over the span (mm^5); it scales the quadratic-drag
-reactive torque acting on the plate. The builders (rectangle, parabola,
-tabulated) record their chord as polynomial pieces, whose RDF is exact; a bare
-chord function is integrated adaptively.
+reactive torque acting on the plate. A planform is its chord's polynomial
+pieces, which the builders (rectangle, parabola, tabulated) set up, so its RDF
+is exact.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from .errors import DomainError, InvalidPlanformError
 
@@ -24,11 +21,6 @@ NEW_DESIGN_RDF_HEAD = 1.14e5
 NEW_DESIGN_RDF_TAIL = 1.07e4
 OLD_DESIGN_RDF_HEAD = 1.88e4
 OLD_DESIGN_RDF_TAIL = 2.19e4
-
-# Adaptive RDF quadrature controls: the relative error a panel may keep, and
-# how many times a panel may be bisected before it is accepted as it is.
-RDF_PANEL_REL_TOL = 1e-9
-RDF_MAX_BISECTIONS = 40
 
 # 3-point Gauss-Legendre node offset, as a share of the panel half-width.
 _GAUSS_NODE = math.sqrt(0.6)
@@ -57,21 +49,15 @@ def _height(height) -> float:
 class Planform:
     """Chord profile of a head or tail plate.
 
-    chord_fn maps span position x (mm) to chord height (mm); the span runs
-    over [-l1, l2] with the rotation axis at x = 0. kinks lists the x values
-    where the chord's slope jumps (the knots of a tabulated chord, a clipped
-    parabola's clip point); the RDF quadrature splits its panels there.
-
-    pieces, set by the builders, holds the same chord as polynomial pieces
-    (lo, hi, x0, h0, slope, curv): h(x) = h0 + u*(slope + u*curv) with
-    u = x - x0 on [lo, hi], and h = 0 on the span outside every piece.
+    The span runs over [-l1, l2] (mm) with the rotation axis at x = 0. pieces
+    holds the chord height (mm) as polynomial pieces (lo, hi, x0, h0, slope,
+    curv): h(x) = h0 + u*(slope + u*curv) with u = x - x0 on [lo, hi], and
+    h = 0 on the span outside every piece.
     """
 
-    chord_fn: Callable[[float], float]
     l1: float
     l2: float
-    kinks: tuple[float, ...] = ()
-    pieces: tuple[tuple[float, float, float, float, float, float], ...] = ()
+    pieces: tuple[tuple[float, float, float, float, float, float], ...]
 
     def __post_init__(self):
         if not (math.isfinite(self.l1) and math.isfinite(self.l2)):
@@ -84,23 +70,18 @@ class Planform:
     @staticmethod
     def rectangle(height: float, l1: float, l2: float) -> "Planform":
         h = _height(height)
-        return Planform(lambda x: h, l1, l2, pieces=((-float(l1), float(l2), 0.0, h, 0.0, 0.0),))
+        return Planform(l1, l2, ((-float(l1), float(l2), 0.0, h, 0.0, 0.0),))
 
     @staticmethod
     def parabola(height: float, root: float, l1: float = 0.0) -> "Planform":
         """Parabolic chord h(x) = height * (1 - (x/root)^2), clipped at zero.
 
-        With l1 > root the chord is 0 on [-l1, -root]; -root is then a kink.
+        With l1 > root the chord is 0 on [-l1, -root], outside the one piece.
         """
         h0, r = _height(height), float(root)
         if not 0 < r < math.inf:
             raise InvalidPlanformError(f"root must be finite and positive, got {r:g}")
-
-        def h(x):
-            return max(0.0, h0 * (1.0 - (x / r) ** 2))
-
-        return Planform(h, l1, r, kinks=(-r,) if l1 > r else (),
-                        pieces=((-min(float(l1), r), r, 0.0, h0, 0.0, -h0 / r / r),))
+        return Planform(l1, r, ((-min(float(l1), r), r, 0.0, h0, 0.0, -h0 / r / r),))
 
     @staticmethod
     def tabulated(points, l1: float, l2: float) -> "Planform":
@@ -128,15 +109,11 @@ class Planform:
                 f"knots span [{xs[0]:g}, {xs[-1]:g}], which does not cover "
                 f"[{-l1:g}, {l2:g}]"
             )
-
-        def h(x, xa=np.array(xs), ha=np.array(hs)):
-            return float(np.interp(x, xa, ha))
-
         # one linear piece per knot interval that overlaps the span, in the
-        # interval's local coordinate as np.interp evaluates it
+        # coordinate local to the interval's left knot
         pieces = tuple((max(x0, -l1), min(x1, l2), x0, h0, (h1 - h0) / (x1 - x0), 0.0)
                        for x0, x1, h0, h1 in zip(xs, xs[1:], hs, hs[1:]) if x0 < l2 and x1 > -l1)
-        return Planform(h, l1, l2, kinks=xs, pieces=pieces)
+        return Planform(l1, l2, pieces)
 
     @staticmethod
     def from_config(cfg: dict) -> "Planform":
@@ -177,24 +154,12 @@ class RdfReport:
     i_tail: float
 
     def __post_init__(self):
-        if not (self.i_head > 0 and self.i_tail > 0):
-            raise InvalidPlanformError("RDFs must be strictly positive")
+        if not (0 < self.i_head < math.inf and 0 < self.i_tail < math.inf):
+            raise InvalidPlanformError("RDFs must be finite and strictly positive")
 
     @property
     def ratio_head_over_tail(self) -> float:
         return self.i_head / self.i_tail
-
-
-def chord_at(p: Planform, x: float) -> float:
-    """Chord height h(x) in mm; x must lie in [-l1, l2]."""
-    if not (-p.l1 <= x <= p.l2):
-        raise DomainError(f"x={x:g} outside span [{-p.l1:g}, {p.l2:g}]")
-    h = p.chord_fn(x)
-    if not math.isfinite(h):
-        raise DomainError(f"chord is not finite at x={x:g}")
-    if h < -1e-12:
-        raise InvalidPlanformError(f"negative chord {h:g} at x={x:g}")
-    return float(h)
 
 
 def _gauss3(f, a, b):
@@ -209,63 +174,28 @@ def _gauss3(f, a, b):
     return r * (5.0 * f(c - d) + 8.0 * f(c) + 5.0 * f(c + d)) / 9.0
 
 
-def _adaptive_gauss(f, a, b):
-    """Adaptive 3-point Gauss-Legendre on [a, b], a < b.
-
-    A panel is accepted when its two halves agree with it to the tolerance;
-    err/63 is the Richardson correction for the rule's degree-6 error.
-    """
-
-    def recurse(a_, b_, whole, depth):
-        m = 0.5 * (a_ + b_)
-        left, right = _gauss3(f, a_, m), _gauss3(f, m, b_)
-        err = left + right - whole
-        scale = max(abs(left + right), 1e-300)
-        if depth <= 0 or abs(err) <= 63.0 * RDF_PANEL_REL_TOL * scale:
-            return left + right + err / 63.0
-        return recurse(a_, m, left, depth - 1) + recurse(m, b_, right, depth - 1)
-
-    return recurse(a, b, _gauss3(f, a, b), RDF_MAX_BISECTIONS)
-
-
 def resistive_drag_factor(p: Planform) -> float:
     """RDF = integral of h(x)*|x|^3 dx over [-l1, l2], in mm^5.
 
-    A builder planform's chord is polynomial pieces of degree <= 2, so on each
-    piece, split at the axis, the integrand is a polynomial of degree <= 5,
-    which one 3-point Gauss-Legendre panel integrates exactly; no chord_at call
-    is made. A bare chord_fn runs adaptive 3-point Gauss-Legendre over the
-    panels between consecutive points of {-l1, 0, l2} and the kinks strictly
-    inside the span, so neither the |x|^3 kink at the axis nor a chord kink
-    lies inside a panel; a panel on which the chord is a polynomial of degree
-    <= 2 is accepted after 9 chord evaluations. Either way the nodes are
-    interior, so neither the axis nor a span end is evaluated, bar the
-    midpoint of a panel only subnormals wide.
+    The chord is polynomial pieces of degree <= 2, so on each piece, split at
+    the axis, the integrand is a polynomial of degree <= 5, which one 3-point
+    Gauss-Legendre panel integrates exactly. The nodes are interior, so neither
+    the axis nor a span end is evaluated, bar the midpoint of a panel only
+    subnormals wide.
     """
-    if p.pieces:
-        panels = []
-        for lo, hi, x0, h0, slope, curv in p.pieces:
-            def f(x):
-                u = x - x0
-                return (h0 + u * (slope + u * curv)) * abs(x) ** 3
+    panels = []
+    for lo, hi, x0, h0, slope, curv in p.pieces:
+        def f(x):
+            u = x - x0
+            return (h0 + u * (slope + u * curv)) * abs(x) ** 3
 
-            for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
-                if a < b:
-                    panels.append(_gauss3(f, a, b))
-        rdf = math.fsum(panels)
-        if not math.isfinite(rdf):
-            raise DomainError(f"RDF is not finite: {rdf:g}")
-        return rdf
-
-    def integrand(x):
-        v = chord_at(p, x) * abs(x) ** 3
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite integrand at x={x:g}")
-        return v
-
-    inner = (k for k in p.kinks if -p.l1 < k < p.l2)
-    edges = sorted({-p.l1, 0.0, p.l2, *inner})
-    return math.fsum(_adaptive_gauss(integrand, a, b) for a, b in zip(edges, edges[1:]))
+        for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
+            if a < b:
+                panels.append(_gauss3(f, a, b))
+    rdf = math.fsum(panels)
+    if not math.isfinite(rdf):
+        raise DomainError(f"RDF is not finite: {rdf:g}")
+    return rdf
 
 
 def rdf_report(head: Planform, tail: Planform) -> RdfReport:

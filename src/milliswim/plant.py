@@ -19,7 +19,6 @@ from importlib import resources
 import numpy as np
 
 from .actuator import Mode, mode_of
-from .errors import CalibrationRangeError
 from .tables import BilinearTable
 
 DEG = math.pi / 180.0
@@ -59,11 +58,11 @@ class PlantCalibration:
     turn_radius_right: float = 0.010         # m, nominal right-turn radius
 
     def __post_init__(self):
-        if np.any(self.speed_map.values < 0):
+        if min(map(min, self.speed_map.values)) < 0:
             raise ValueError("speeds must be nonnegative")
-        if np.any(self.turn_map_left.values < 0):
+        if min(map(min, self.turn_map_left.values)) < 0:
             raise ValueError("left turn rates must be nonnegative")
-        if np.any(self.turn_map_right.values > 0):
+        if max(map(max, self.turn_map_right.values)) > 0:
             raise ValueError("right turn rates must be nonpositive")
 
     @staticmethod

@@ -2,9 +2,9 @@
 that reads the calibration CSVs into such grids.
 
 Grids are rectangular (frequency x duty cycle), strictly increasing on both
-axes, and immutable: a table keeps read-only copies of its inputs, so callers
-may share one. Queries outside the convex hull raise CalibrationRangeError;
-there is no silent extrapolation.
+axes, and immutable: a table keeps each grid once, as tuples of Python floats
+(provenance: strings), so callers may share one. Queries outside the convex
+hull raise CalibrationRangeError; there is no silent extrapolation.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-
-import numpy as np
 
 from .errors import CalibrationRangeError
 
@@ -23,36 +21,25 @@ class BilinearTable:
 
     Besides the value grid, an optional auxiliary grid (e.g. per-point ESD)
     and a per-point provenance grid can be attached; both are indexed the
-    same way as the values.
+    same way as the values: grid[i][j] belongs to (freqs[i], dcs[j]).
     """
 
     def __init__(self, freqs, dcs, values, aux=None, provenance=None):
-        self.freqs = np.array(freqs, dtype=float)
-        self.dcs = np.array(dcs, dtype=float)
-        self.values = np.array(values, dtype=float)
-        if self.values.shape != (self.freqs.size, self.dcs.size):
-            raise ValueError(
-                f"value grid shape {self.values.shape} does not match axes "
-                f"({self.freqs.size}, {self.dcs.size})"
-            )
-        # "not all > 0" also rejects a NaN on an axis
-        if not (np.all(np.diff(self.freqs) > 0) and np.all(np.diff(self.dcs) > 0)):
+        self.freqs = tuple(map(float, freqs))
+        self.dcs = tuple(map(float, dcs))
+        self.values = tuple(tuple(map(float, row)) for row in values)
+        shape = (len(self.freqs), len(self.dcs))
+        if [len(row) for row in self.values] != [shape[1]] * shape[0]:
+            raise ValueError(f"value grid rows do not match axes {shape}")
+        # "not all <" also rejects a NaN on an axis
+        if not all(a < b for axis in (self.freqs, self.dcs) for a, b in zip(axis, axis[1:])):
             raise ValueError("grid axes must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
+        if not all(map(math.isfinite, (v for row in self.values for v in row))):
             raise ValueError("grid values must be finite")
-        self.aux = None if aux is None else np.array(aux, dtype=float)
+        self.aux = None if aux is None else tuple(tuple(map(float, row)) for row in aux)
         if provenance is None:
-            self.provenance = np.full(self.values.shape, "digitized", dtype=object)
-        else:
-            self.provenance = np.array(provenance, dtype=object)
-        for a in (self.freqs, self.dcs, self.values, self.aux, self.provenance):
-            if a is not None:
-                a.setflags(write=False)
-        # the lookup reads Python floats: a scalar np.searchsorted costs more
-        # than the whole interpolation
-        self._freqs = tuple(self.freqs.tolist())
-        self._dcs = tuple(self.dcs.tolist())
-        self._rows = tuple(map(tuple, self.values.tolist()))
+            provenance = [["digitized"] * len(self.dcs)] * len(self.freqs)
+        self.provenance = tuple(tuple(map(str, row)) for row in provenance)
 
     @classmethod
     def from_csv(
@@ -103,9 +90,9 @@ class BilinearTable:
         return i, (x - axis[i]) / (axis[i + 1] - axis[i])
 
     def __call__(self, freq: float, dc: float) -> float:
-        i, u = self._locate(self._freqs, freq, "freq")
-        j, w = self._locate(self._dcs, dc, "dc")
-        lo, hi = self._rows[i], self._rows[i + 1]
+        i, u = self._locate(self.freqs, freq, "freq")
+        j, w = self._locate(self.dcs, dc, "dc")
+        lo, hi = self.values[i], self.values[i + 1]
         return (
             lo[j] * (1 - u) * (1 - w)
             + hi[j] * u * (1 - w)
@@ -116,7 +103,7 @@ class BilinearTable:
     def node(self, freq: float, dc: float) -> tuple[int, int]:
         """Grid indices of the node at (freq, dc); the point must be a node."""
         ij = []
-        for axis, x in ((self._freqs, freq), (self._dcs, dc)):
+        for axis, x in ((self.freqs, freq), (self.dcs, dc)):
             # np.argmin's index (the nearest node, the first on a tie), kept if
             # np.isclose(axis[k], x) holds; no node is close to NaN or +-inf
             dist = [abs(a - x) for a in axis]
@@ -127,4 +114,5 @@ class BilinearTable:
 
     def node_provenance(self, freq: float, dc: float) -> str:
         """Provenance of the grid node at (freq, dc); the point must be a node."""
-        return str(self.provenance[self.node(freq, dc)])
+        i, j = self.node(freq, dc)
+        return self.provenance[i][j]

@@ -82,7 +82,7 @@ class TestExcursionTable:
         t = default_excursion_table()
         for i, f in enumerate(t.freqs):
             for j, d in enumerate(t.dcs):
-                assert t(f, d) == t.values[i, j]
+                assert t(f, d) == t.values[i][j]
 
     def test_bilinear_midpoint(self):
         t = default_excursion_table()

@@ -64,6 +64,25 @@ PINNED_TRACK_SHA256 = {
                       "cd16ee7b0a3e95f23fdb6736bc7bad5eb87794539ecb25a2473bb6dcaf3d3a47"),
 }
 
+# sha256 of the stdout of `milliswim rdf --design new|old`, and of
+# `milliswim rdf --head <RDF_PLANFORMS[k]> --tail <RDF_TAIL>` per planform kind k.
+RDF_PLANFORMS = {
+    "rectangle": {"kind": "rectangle", "height_mm": 4.0, "l1_mm": 2.0, "l2_mm": 8.0},
+    "parabola": {"kind": "parabola", "height_mm": 5.0, "root_mm": 10.0, "l1_mm": 3.0},
+    "clipped_parabola": {"kind": "parabola", "height_mm": 5.0, "root_mm": 6.0, "l1_mm": 9.0},
+    "tabulated": {"kind": "tabulated", "points": [[-3, 1], [0, 4], [5, 3.5], [12, 0.5]],
+                  "l1_mm": 2.5, "l2_mm": 11.0},
+}
+RDF_TAIL = {"kind": "rectangle", "height_mm": 6.0, "l1_mm": 0.0, "l2_mm": 15.0}
+PINNED_RDF_SHA256 = {
+    "new": "00a3aadfc6987e52f8c7981ddb57cf9eb7eafdbacf579a517cffca7d4e43ce5c",
+    "old": "0505649cd0ce9f41d5bbee3b1a30b1e73b56e62a436406ba12041e0bb6b040e8",
+    "rectangle": "edeb9411274b77f300faf6886b592b12424967867f45a85ed6ed6c36c6367846",
+    "parabola": "52d71d8858b670b5c16814971174b653b424175a9c39f08dbf714f99363ca1c2",
+    "clipped_parabola": "6ed1893e65a94babe76c3d11a7f95e74b25decf2c5c75d03691baea84f58a9cc",
+    "tabulated": "732bfd04a90ebccbf1ad11f9e1ad2cfd68499015a93a67ddb81647e701acfc48",
+}
+
 # Two noisy right turns sharing one generator: the first aborts at tick 2849,
 # the second runs its 20 s from the stream position the abort left.
 ABORT_CASE = dict(kind="track_right", duration=20.0, seed=5, repeats=2, noise_sigma=1e-4,
@@ -301,7 +320,7 @@ def configs(draw):
     """An ExperimentConfig with every CONFIG_SCHEMA field drawn."""
     u_v, u_max = sorted(draw(finite(1e-6, 1.0)) for _ in range(2))
     return ExperimentConfig(
-        kind=draw(st.sampled_from(ExperimentConfig.KINDS)),
+        kind=draw(st.sampled_from(list(RUNNERS))),
         duration=draw(finite(1.0, 1e3)),
         seed=draw(st.integers(0, 2**64)),
         repeats=draw(st.integers(1, 10)),
@@ -451,7 +470,8 @@ class TestConfigFile:
             ExperimentConfig(abort_error_m=bound)
 
     def test_kinds_are_the_runner_table(self):
-        assert ExperimentConfig.KINDS == tuple(RUNNERS)
+        # ExperimentConfig accepts every kind RUNNERS has, and the CLI reaches each
+        assert [ExperimentConfig(kind=kind).kind for kind in RUNNERS] == list(RUNNERS)
         assert set(CLI_KINDS.values()) == set(RUNNERS)
 
 
@@ -471,6 +491,19 @@ class TestCli:
             {"kind": "parabola", "height_mm": 8.0, "root_mm": 12.0}))
         assert cli_main(["rdf", "--head", str(head), "--tail", str(tail)]) == 0
         assert "i_head_mm5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", list(PINNED_RDF_SHA256))
+    def test_rdf_stdout_digests(self, tmp_path, capsys, case):
+        if case in ("new", "old"):
+            argv = ["--design", case]
+        else:
+            head, tail = tmp_path / "head.json", tmp_path / "tail.json"
+            head.write_text(json.dumps(RDF_PLANFORMS[case]))
+            tail.write_text(json.dumps(RDF_TAIL))
+            argv = ["--head", str(head), "--tail", str(tail)]
+        assert cli_main(["rdf", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_RDF_SHA256[case]
 
     def test_rdf_bad_tabulated_knots_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -690,7 +723,7 @@ def test_cold_and_warm_calibration_runs_identical(tmp_path, capsys, argv):
     assert harness._calibration() is harness._calibration()
 
 
-@pytest.mark.parametrize("argv", [("sweep", "excursion"), ("cycle",)], ids="-".join)
+@pytest.mark.parametrize("argv", list(PINNED_SHA256), ids="-".join)
 def test_fresh_process_output_digests(tmp_path, argv):
     # a one-shot process: the calibration and the parser are built once, cold
     src = Path(__file__).resolve().parents[1] / "src"

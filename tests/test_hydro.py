@@ -20,14 +20,13 @@ from milliswim.hydro import (
     simulate_cycle,
     tail_motion_from_excursion,
 )
-from milliswim.planform import Planform, chord_at, rdf_report_from_constants
+from milliswim.planform import Planform, rdf_report_from_constants
 
 NEW_RDFS = rdf_report_from_constants(1.14e5, 1.07e4)
 
 
 class TestDragForcePerLength:
-    """The quadratic-drag rule on a whole plate (reactive_torque), and the span
-    check of the chord it integrates."""
+    """The quadratic-drag rule on a whole plate (reactive_torque)."""
 
     def test_zero_omega(self):
         env = FluidEnv(rho=1000.0, c_d=2.0)
@@ -48,11 +47,6 @@ class TestDragForcePerLength:
             for omega in (2.0, -2.0):
                 tau = reactive_torque(env, p, omega)
                 assert math.copysign(1.0, tau) == -math.copysign(1.0, omega)
-
-    def test_out_of_span(self):
-        p = Planform.rectangle(10.0, 5.0, 5.0)
-        with pytest.raises(DomainError):
-            chord_at(p, 6.0)
 
 
 @pytest.mark.parametrize("name", ["rho", "c_d"])

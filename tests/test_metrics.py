@@ -79,6 +79,12 @@ class TestReynolds:
         with pytest.raises(DomainError):
             reynolds(0.01, 0.036, nu=0.0)
 
+    @pytest.mark.parametrize("v", [-0.01, -math.inf, math.nan, math.inf])
+    def test_bad_speed_rejected(self, v):
+        # the speed is named, not the valid nu; a zero speed is Re = 0
+        with pytest.raises(DomainError, match="v_avg must be finite and nonnegative"):
+            reynolds(v, 0.036)
+
 
 class TestSwimNumber:
     def test_reference_point(self):

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from milliswim import planform
-from milliswim.errors import DomainError, InvalidPlanformError
+from milliswim.errors import InvalidPlanformError
 from milliswim.planform import (
     NEW_DESIGN_RDF_HEAD,
     NEW_DESIGN_RDF_TAIL,
     OLD_DESIGN_RDF_HEAD,
     OLD_DESIGN_RDF_TAIL,
     Planform,
-    chord_at,
     rdf_report,
     rdf_report_from_constants,
     resistive_drag_factor,
@@ -61,15 +60,18 @@ def exact_parabola_rdf(height, root, l1):
 
 
 def counted_rdf(monkeypatch, p):
-    """resistive_drag_factor(p) and the x of every chord evaluation it made."""
+    """resistive_drag_factor(p) and the x of every integrand evaluation it made."""
     xs = []
-    real = planform.chord_at
+    real = planform._gauss3
 
-    def counting(p_, x):
-        xs.append(x)
-        return real(p_, x)
+    def counting(f, a, b):
+        def g(x):
+            xs.append(x)
+            return f(x)
 
-    monkeypatch.setattr(planform, "chord_at", counting)
+        return real(g, a, b)
+
+    monkeypatch.setattr(planform, "_gauss3", counting)
     return resistive_drag_factor(p), xs
 
 
@@ -95,18 +97,21 @@ def tabulated_knots(draw):
 
 
 @st.composite
-def builder_planforms(draw):
-    """A rectangle, a parabola (clipped when l1 > root) or a tabulated chord."""
+def builder_chords(draw):
+    """A rectangle, a parabola (clipped when l1 > root) or a tabulated chord, with
+    the chord h(x) its builder documents."""
     kind = draw(st.sampled_from(["rectangle", "parabola", "tabulated"]))
     if kind == "rectangle":
-        l1, l2 = draw(span_mm), draw(span_mm)
+        h, l1, l2 = draw(height_mm), draw(span_mm), draw(span_mm)
         assume(l1 + l2 > 0)
-        return Planform.rectangle(draw(height_mm), l1, l2)
+        return Planform.rectangle(h, l1, l2), lambda x: h
     if kind == "parabola":
-        root = draw(st.floats(2.0, 25.0))
-        return Planform.parabola(draw(height_mm), root, draw(st.floats(0.0, 2.0)) * root)
+        h, root = draw(height_mm), draw(st.floats(2.0, 25.0))
+        p = Planform.parabola(h, root, draw(st.floats(0.0, 2.0)) * root)
+        return p, lambda x: max(0.0, h * (1.0 - (x / root) ** 2))
     knots, l1, l2 = draw(tabulated_knots())
-    return Planform.tabulated(knots, l1, l2)
+    xs, hs = zip(*sorted(knots))
+    return Planform.tabulated(knots, l1, l2), lambda x: float(np.interp(x, xs, hs))
 
 
 def piece_chord(p, x):
@@ -119,24 +124,25 @@ def piece_chord(p, x):
 
 
 class TestChordAt:
+    """The chord height at x, as the pieces give it."""
+
     def test_rectangle_center(self):
         p = Planform.rectangle(10.0, 5.0, 5.0)
-        assert chord_at(p, 0.0) == 10.0
+        assert piece_chord(p, 0.0) == 10.0
 
     def test_rectangle_edge(self):
         p = Planform.rectangle(10.0, 5.0, 5.0)
-        assert chord_at(p, 5.0) == 10.0
+        assert piece_chord(p, 5.0) == 10.0
 
     def test_parabola_root(self):
         p = Planform.parabola(8.0, 12.0)
-        assert chord_at(p, 12.0) == 0.0
+        assert piece_chord(p, 12.0) == 0.0
 
     def test_out_of_domain(self):
-        p = Planform.rectangle(10.0, 5.0, 5.0)
-        with pytest.raises(DomainError):
-            chord_at(p, 5.1)
-        with pytest.raises(DomainError):
-            chord_at(p, -5.1)
+        # no piece reaches past the span, so the RDF integrates no chord outside it
+        for p in (Planform.rectangle(10.0, 5.0, 5.0), Planform.parabola(4.0, 10.0, 14.0),
+                  Planform.tabulated([(-9.0, 1.0), (-5.0, 2.0), (12.0, 1.0)], 5.0, 10.0)):
+            assert all(-p.l1 <= lo < hi <= p.l2 for lo, hi, *_ in p.pieces)
 
 
 class TestResistiveDragFactor:
@@ -164,17 +170,13 @@ class TestResistiveDragFactor:
 
     def test_pointwise_chord_monotonicity(self):
         small = Planform.parabola(8.0, 12.0)
-        big = Planform(lambda x: 8.0 * (1 - (x / 12.0) ** 2) + 1.0, 0.0, 12.0)
+        big = Planform.parabola(9.0, 12.0)
         assert resistive_drag_factor(big) > resistive_drag_factor(small)
 
     @pytest.mark.parametrize("s", [0.5, 2.0])
     def test_length_scaling_power_five(self, s):
         base = Planform.parabola(8.0, 12.0, l1=3.0)
-        scaled = Planform(
-            lambda x: s * max(0.0, 8.0 * (1 - (x / s / 12.0) ** 2)),
-            3.0 * s,
-            12.0 * s,
-        )
+        scaled = Planform.parabola(8.0 * s, 12.0 * s, l1=3.0 * s)
         assert resistive_drag_factor(scaled) == pytest.approx(
             s**5 * resistive_drag_factor(base), rel=1e-8
         )
@@ -238,17 +240,20 @@ class TestClosedForms:
 
 
 class TestChordEvaluationBudget:
+    """Three integrand evaluations per panel, a panel per piece and side of the
+    axis."""
+
     @pytest.mark.parametrize("p, budget", [
-        (Planform.rectangle(3.0, 5.0, 7.0), 18),
-        (Planform.rectangle(3.0, 0.0, 7.0), 9),
-        (Planform.parabola(8.0, 12.0), 9),
-        (Planform.parabola(8.0, 12.0, 5.0), 18),
-        (Planform.parabola(4.0, 10.0, 14.0), 27),  # three panels: the clip is a kink
+        (Planform.rectangle(3.0, 5.0, 7.0), 6),
+        (Planform.rectangle(3.0, 0.0, 7.0), 3),
+        (Planform.parabola(8.0, 12.0), 3),
+        (Planform.parabola(8.0, 12.0, 5.0), 6),
+        (Planform.parabola(4.0, 10.0, 14.0), 6),  # no piece beyond the clip point
     ], ids=["rectangle", "one-sided-rectangle", "parabola", "parabola-l1",
             "clipped-parabola"])
     def test_smooth_chords(self, monkeypatch, p, budget):
         _, xs = counted_rdf(monkeypatch, p)
-        assert len(xs) <= budget
+        assert len(xs) == budget
         # Gauss nodes are interior: never the axis nor a span end
         assert not {0.0, -p.l1, p.l2} & set(xs)
 
@@ -260,54 +265,18 @@ class TestChordEvaluationBudget:
         p = Planform.tabulated(list(zip(xs, rng.uniform(0.5, 10.0, 14))), 6.0, 18.0)
         n_panels = len({-6.0, 0.0, 18.0, *xs}) - 1
         _, evals = counted_rdf(monkeypatch, p)
-        assert len(evals) <= 9 * n_panels
-
-    def test_non_polynomial_chord_stays_adaptive(self, monkeypatch):
-        def chord(x):
-            return math.exp(-x * x / 50.0) + 0.5
-
-        l1, l2 = 7.0, 15.0
-        # 64-point Gauss-Legendre per side of the axis: the integrand is
-        # analytic there, so this converges to rounding
-        nodes, weights = np.polynomial.legendre.leggauss(64)
-        ref = 0.0
-        for a, b in ((-l1, 0.0), (0.0, l2)):
-            x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-            ref += 0.5 * (b - a) * float(np.sum(
-                weights * (np.exp(-x * x / 50.0) + 0.5) * np.abs(x) ** 3))
-        value, xs = counted_rdf(monkeypatch, Planform(chord, l1, l2))
-        assert value == pytest.approx(ref, rel=1e-9)
-        assert len(xs) > 18  # bisected beyond the first pass
+        assert len(evals) == 3 * n_panels
 
 
 class TestPieces:
-    """Builder planforms integrate their polynomial pieces, not chord_fn."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(builder_planforms())
-    def test_matches_adaptive_rule(self, p):
-        bare = Planform(p.chord_fn, p.l1, p.l2, p.kinks)
-        assert not bare.pieces
-        assert resistive_drag_factor(p) == pytest.approx(
-            resistive_drag_factor(bare), rel=1e-12)
-
-    @pytest.mark.parametrize("p", [
-        Planform.rectangle(3.0, 5.0, 7.0),
-        Planform.parabola(8.0, 12.0, 5.0),
-        Planform.parabola(4.0, 10.0, 14.0),
-        Planform.tabulated([(-6.0, 1.0), (4.0, 9.0), (4.0 + 3.4e-3, 0.5), (18.0, 7.0)],
-                           6.0, 18.0),
-    ], ids=["rectangle", "parabola", "clipped-parabola", "tabulated"])
-    def test_no_chord_evaluations(self, monkeypatch, p):
-        value, xs = counted_rdf(monkeypatch, p)
-        assert value > 0
-        assert xs == []
+    """Builder planforms are their polynomial pieces."""
 
     @settings(max_examples=200, deadline=None)
-    @given(builder_planforms(), st.floats(0.0, 1.0))
-    def test_pieces_are_the_chord(self, p, t):
+    @given(builder_chords(), st.floats(0.0, 1.0))
+    def test_pieces_are_the_chord(self, case, t):
+        p, chord = case
         x = min(-p.l1 + t * (p.l1 + p.l2), p.l2)
-        assert piece_chord(p, x) == pytest.approx(chord_at(p, x), rel=1e-12, abs=1e-12)
+        assert piece_chord(p, x) == pytest.approx(chord(x), rel=1e-12, abs=1e-12)
 
     def test_pieces_cover_the_span(self):
         assert Planform.rectangle(2.0, 1.0, 3.0).pieces == ((-1.0, 3.0, 0.0, 2.0, 0.0, 0.0),)
@@ -359,12 +328,13 @@ class TestRdfReport:
         )
 
     def test_zero_rdf_rejected(self):
-        zero = Planform(lambda x: 0.0, 0.0, 10.0)
+        zero = Planform.rectangle(0.0, 0.0, 10.0)
         good = Planform.rectangle(10.0, 5.0, 5.0)
         with pytest.raises(InvalidPlanformError):
             rdf_report(zero, good)
-        with pytest.raises(InvalidPlanformError):
-            rdf_report_from_constants(0.0, 1.0)
+        for i_head, i_tail in ((0.0, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+            with pytest.raises(InvalidPlanformError):
+                rdf_report_from_constants(i_head, i_tail)
 
 
 class TestConfigLoading:
@@ -405,7 +375,7 @@ class TestConfigLoading:
              "l1_mm": 0.0, "l2_mm": 10.0}
         ))
         p = Planform.from_file(cfg)
-        assert chord_at(p, 5.0) == pytest.approx(3.0)
+        assert piece_chord(p, 5.0) == pytest.approx(3.0)
         # analytic: int (6 - 0.6 x) x^3 = 6*10^4/4 - 0.6*10^5/5 = 3000
         assert resistive_drag_factor(p) == pytest.approx(3000.0, rel=1e-12)
 
@@ -430,14 +400,6 @@ class TestTabulated:
     def test_bad_knots_rejected(self, points, l1, l2):
         with pytest.raises(InvalidPlanformError):
             Planform.tabulated(points, l1, l2)
-
-    def test_kinks_are_the_knots(self):
-        p = Planform.tabulated([(10.0, 0.0), (-5.0, 2.0), (0.0, 6.0)], 5.0, 10.0)
-        assert p.kinks == (-5.0, 0.0, 10.0)
-        assert Planform.rectangle(1.0, 1.0, 1.0).kinks == ()
-        assert Planform.parabola(8.0, 12.0).kinks == ()
-        assert Planform.parabola(4.0, 10.0, 10.0).kinks == ()
-        assert Planform.parabola(4.0, 10.0, 14.0).kinks == (-10.0,)  # the clip point
 
     def test_flat_chord_matches_rectangle(self):
         knots = [(-4.0, 3.0), (9.0, 3.0)]

@@ -68,7 +68,7 @@ class TestCommandToRates:
         for i, f in enumerate(CAL.speed_map.freqs):
             for j, d in enumerate(CAL.speed_map.dcs):
                 v, w = rates(CAL, float(f), float(d), float(d))[1:]
-                assert v == CAL.speed_map.values[i, j] * 1e-3
+                assert v == CAL.speed_map.values[i][j] * 1e-3
                 assert w == 0.0
 
     def test_mixed_endpoints_match_unimorph(self):
