@@ -25,6 +25,16 @@ class Mode(enum.Enum):
     MIXED = "mixed"
     IDLE = "idle"
 
+    # Members are singletons compared by identity; the identity hash keeps a
+    # dict keyed by Mode off Enum's Python-level __hash__.
+    __hash__ = object.__hash__
+
+
+# The members as module names, read by mode_of and plant.rates every control
+# tick: on Python 3.11 each Mode.X lookup runs EnumType's Python-level
+# __getattr__ hook.
+BIMORPH, UNIMORPH_LEFT, UNIMORPH_RIGHT, MIXED, IDLE = Mode
+
 
 @dataclass(frozen=True)
 class ExcitationCommand:
@@ -45,14 +55,14 @@ class ExcitationCommand:
 def mode_of(dc_left: float, dc_right: float) -> Mode:
     """Drive mode of a pair of channel duty cycles."""
     if dc_left == 0.0 and dc_right == 0.0:
-        return Mode.IDLE
+        return IDLE
     if dc_left == dc_right:
-        return Mode.BIMORPH
+        return BIMORPH
     if dc_right == 0.0:
-        return Mode.UNIMORPH_LEFT
+        return UNIMORPH_LEFT
     if dc_left == 0.0:
-        return Mode.UNIMORPH_RIGHT
-    return Mode.MIXED
+        return UNIMORPH_RIGHT
+    return MIXED
 
 
 def average_power(cmd: ExcitationCommand) -> float:

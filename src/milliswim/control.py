@@ -152,21 +152,19 @@ class ControllerState:
     integrator_clamps: int = 0  # ticks on which integrator_limit cut the integrator
 
 
-def lateral_error(
-    path: ReferencePath, st: ControllerState, r1: float, r2: float
-) -> tuple[float, int]:
-    """Lateral error r_e,j = r_d,j - r_j along the active segment's axis.
+def lateral_error(path: ReferencePath, st: ControllerState, r1: float, r2: float) -> float:
+    """Lateral error r_e,j = r_d,j - r_j along the active segment's axis j
+    (path.segments[st.active_segment].lateral_axis).
 
     Advances st.active_segment past crossed waypoints first, resetting the
-    integrator on a switch. Returns (r_e, j).
+    integrator on a switch.
     """
     idx = path.advance(st.active_segment, r1, r2)
     if idx != st.active_segment:
         st.active_segment = idx
         st.integrator = 0.0
     seg = path.segments[idx]
-    r_j = r1 if seg.lateral_axis == 1 else r2
-    return seg.target - r_j, seg.lateral_axis
+    return seg.target - (r1 if seg.lateral_axis == 1 else r2)
 
 
 def lpc_step(cfg: ControlConfig, st: ControllerState, r_e: float, dt: float) -> float:
@@ -218,7 +216,7 @@ def tick(
     body-left cross-track error steers left. For the rectilinear path
     (heading 0, lateral axis 2) this reduces to the bare PI law on r_e,2.
     """
-    r_e, _ = lateral_error(path, st, r1, r2)
+    r_e = lateral_error(path, st, r1, r2)
     seg = path.segments[st.active_segment]
     psi_d = wrap_angle(seg.heading + lpc_step(cfg, st, seg.left_normal_sign * r_e, dt))
     return actuator_mapping(cfg, cfg.u_v, heading_step(cfg, psi_d, psi))

@@ -21,6 +21,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from .metrics import (
     swim_number,
     trajectory_stats,
 )
-from .plant import PlantCalibration, advance, observe, rates
+from .plant import CalibrationSlice, PlantCalibration, advance, observation_noise, observe, rates
 from .planform import (
     NEW_DESIGN_RDF_HEAD,
     NEW_DESIGN_RDF_TAIL,
@@ -67,6 +68,7 @@ STATS_WINDOW_FRAC = 0.8  # tracking stats cover this trailing share of the run
 # Trajectory log lines: _fmt's number format, csv.writer's \r\n terminator.
 LOG_HEADER = "t_s,r1_m,r2_m,psi_rad,v_mps,omega_radps,uL,uR\r\n"
 LOG_ROW = ",".join(["%.9g"] * 8) + "\r\n"
+LOG_BLOCK_ROWS = 256  # trajectory rows per format call of _write_log
 
 
 def _fmt(x: float) -> str:
@@ -234,11 +236,12 @@ def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
 
     def rows():
         for fr in SWEEP_FREQS:
+            app_at, speed_at = table.at(fr), cal.at(fr).speed_map
             for dc in SWEEP_DCS:
-                app = table(fr, dc)
+                app = app_at(dc)
                 p_mw = average_power(ExcitationCommand(fr, dc, dc)) * 1e3
                 try:
-                    v_mmps = cal.speed_map(fr, dc)
+                    v_mmps = speed_at(dc)
                     st = strouhal(fr, app, v_mmps) if v_mmps > 0 else float("nan")
                 except CalibrationRangeError:
                     st = float("nan")
@@ -255,8 +258,8 @@ def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
 def run_speed_sweep(cfg: ExperimentConfig) -> Path:
     speed = _calibration()[0].speed_map
     rows = (
-        [_fmt(fr), f"{dc:.2f}", _fmt(speed(fr, dc)), speed.node_provenance(fr, dc)]
-        for fr in SWEEP_FREQS for dc in SWEEP_DCS
+        [_fmt(fr), f"{dc:.2f}", _fmt(value(dc)), speed.node_provenance(fr, dc)]
+        for fr in SWEEP_FREQS for value in (speed.at(fr),) for dc in SWEEP_DCS
     )
     return _write_sweep(cfg, "speed_sweep.csv", ["freq_hz", "dc_pu", "v_mmps", "provenance"], rows)
 
@@ -264,9 +267,9 @@ def run_speed_sweep(cfg: ExperimentConfig) -> Path:
 def run_turn_sweep(cfg: ExperimentConfig) -> Path:
     cal = _calibration()[0]
     rows = (
-        [_fmt(fr), f"{dc:.2f}", side, _fmt(table(fr, dc)), table.node_provenance(fr, dc)]
+        [_fmt(fr), f"{dc:.2f}", side, _fmt(value(dc)), table.node_provenance(fr, dc)]
         for side, table in (("left", cal.turn_map_left), ("right", cal.turn_map_right))
-        for fr in TURN_FREQS for dc in TURN_DCS
+        for fr in TURN_FREQS for value in (table.at(fr),) for dc in TURN_DCS
     )
     header = ["freq_hz", "dc_pu", "side", "rate_degps", "provenance"]
     return _write_sweep(cfg, "turn_sweep.csv", header, rows)
@@ -295,16 +298,27 @@ def _tick_grid(cfg: ExperimentConfig) -> tuple[int, float]:
     return int(round(cfg.duration * rate)), 1.0 / rate
 
 
+def _write_log(f, log: list[array]) -> None:
+    """Write the trajectory log columns as LOG_ROW lines, LOG_BLOCK_ROWS rows
+    per format call, reading the columns row by row without building the rows."""
+    values = chain.from_iterable(zip(*log))
+    full, rest = divmod(len(log[0]), LOG_BLOCK_ROWS)
+    block = LOG_ROW * LOG_BLOCK_ROWS
+    for _ in range(full):
+        f.write(block % tuple(islice(values, 8 * LOG_BLOCK_ROWS)))
+    f.write(LOG_ROW * rest % tuple(values))
+
+
 def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: Path,
-                      rng: np.random.Generator, cal: PlantCalibration) -> TrackingResult:
+                      rng: np.random.Generator, cal: CalibrationSlice) -> TrackingResult:
     """One closed-loop run on plain floats: observe -> tick -> rates -> log ->
     advance, then the divergence check, per control tick."""
     cc = cfg.control
     n_ticks, dt_tick = _tick_grid(cfg)
     substeps = max(1, round(dt_tick / PLANT_SUBSTEP_S))
     dt_sub = dt_tick / substeps
-    sigma, tau, abort_m = cfg.noise_sigma, cfg.response_time, cfg.abort_error_m
-    freq, u_max = cc.freq, cc.u_max
+    tau, abort_m = cfg.response_time, cfg.abort_error_m
+    u_max = cc.u_max
     segments = path_obj.segments
 
     r1 = r2 = psi = v = w = 0.0
@@ -317,12 +331,13 @@ def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: 
     seg_idx, seg = 0, segments[0]
     peak_err = 0.0
     failed = False
+    noises = observation_noise(rng, cfg.noise_sigma, n_ticks)
 
-    for k in range(n_ticks):
+    for k, noise in enumerate(noises):
         t = k * dt_tick
-        r1_o, r2_o, psi_o = observe(r1, r2, psi, sigma, rng)
+        r1_o, r2_o, psi_o = observe(r1, r2, psi, noise)
         u_l, u_r = tick(cc, path_obj, ctrl, r1_o, r2_o, psi_o, dt_tick)
-        mode, v_cmd, w_cmd = rates(cal, freq, u_l, u_r)
+        mode, v_cmd, w_cmd = rates(cal, u_l, u_r)
         log_t(t)
         log_r1(r1)
         log_r2(r2)
@@ -347,10 +362,11 @@ def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: 
         if err > abort_m:
             failed = True
             break
+    noises.close()  # after an abort, leaves rng where per-tick draws would
 
     with open(log_path, "w", newline="") as f:
         f.write(LOG_HEADER)
-        f.writelines(map(LOG_ROW.__mod__, zip(*log)))
+        _write_log(f, log)
 
     ticks = len(log[0])
     counters = {
@@ -379,11 +395,12 @@ def check_reachable_lookups(cc: ControlConfig, cal: PlantCalibration) -> None:
     clamped to [0, u_max] and 0 < u_v <= u_max, rates reads the speed grid at
     the pair's mean, in [min(u_v, u_max/2), u_v], and a turn grid at the
     dominant channel, in [u_v, u_max]; both ends of each range are looked up."""
+    cal_f = cal.at(cc.freq)
     for name, lo, hi in (("speed_map", min(cc.u_v, cc.u_max / 2), cc.u_v),
                          ("turn_map_left", cc.u_v, cc.u_max), ("turn_map_right", cc.u_v, cc.u_max)):
         try:
             for dc in (lo, hi):
-                getattr(cal, name)(cc.freq, dc)
+                getattr(cal_f, name)(dc)
         except CalibrationRangeError as e:
             raise CalibrationRangeError(f"{name}: {e}") from None
 
@@ -398,6 +415,7 @@ def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
         raise ValueError(f"{cfg.kind!r} is not a tracking experiment")
     cal = _calibration()[0]
     check_reachable_lookups(cfg.control, cal)
+    cal_f = cal.at(cfg.control.freq)
     rng = np.random.default_rng(cfg.seed)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -405,7 +423,7 @@ def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
     for rep in range(cfg.repeats):
         path_obj = TRACK_PATHS[cfg.kind]()
         log_path = out / f"trajectory_{rep + 1}.csv"
-        results.append(_run_one_tracking(cfg, path_obj, log_path, rng, cal))
+        results.append(_run_one_tracking(cfg, path_obj, log_path, rng, cal_f))
     summary = {f"test_{i + 1}": r.stats for i, r in enumerate(results)}
     (out / "stats.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_manifest(

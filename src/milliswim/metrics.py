@@ -42,6 +42,13 @@ def _finite(value: float, name: str, divisor: str, x: float) -> float:
     return value
 
 
+def _nonnegative(**args: float) -> None:
+    """DomainError naming the first argument that is not finite and nonnegative."""
+    for name, x in args.items():
+        if not 0 <= x < math.inf:
+            raise DomainError(f"{name} must be finite and nonnegative")
+
+
 def cost_of_transport(p_avg: float, spec: SwimmerSpec, v_avg: float) -> float:
     """CoT = P / (m g v): energy per unit weight per unit distance."""
     if not 0 < v_avg < math.inf:
@@ -55,6 +62,7 @@ def strouhal(f_o: float, a_pp: float, v_avg: float) -> float:
     """St = f * A_pp / v."""
     if not 0 < v_avg < math.inf:
         raise DomainError("v_avg must be finite and positive")
+    _nonnegative(f_o=f_o, a_pp=a_pp)
     return _finite(f_o * a_pp / v_avg, "Strouhal number", "v_avg", v_avg)
 
 
@@ -71,6 +79,7 @@ def swim_number(f_o: float, a_pp: float, length: float, nu: float = DEFAULT_NU) 
     """Sw = 2 pi f A_pp L / nu = 2 pi Re St."""
     if not 0 < nu < math.inf:
         raise DomainError("nu must be finite and positive")
+    _nonnegative(f_o=f_o, a_pp=a_pp)
     return _finite(2.0 * math.pi * f_o * a_pp * length / nu, "swim number", "nu", nu)
 
 

@@ -12,17 +12,23 @@ reproduces the observed closed-loop turn geometry.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
-from .actuator import Mode, mode_of
+from .actuator import BIMORPH, IDLE, UNIMORPH_LEFT, UNIMORPH_RIGHT, Mode, mode_of
+from .errors import CalibrationRangeError
 from .tables import BilinearTable
 
 DEG = math.pi / 180.0
 MARKER_BASELINE_M = 0.01  # m; observe divides a position-noise draw by it for the heading
+NOISE_CHUNK_TICKS = 250   # noise triples per rng.normal call of observation_noise
 
 
 def wrap_angle(a: float) -> float:
@@ -65,6 +71,15 @@ class PlantCalibration:
         if max(map(max, self.turn_map_right.values)) > 0:
             raise ValueError("right turn rates must be nonpositive")
 
+    def at(self, freq: float) -> CalibrationSlice:
+        """The calibration at actuation frequency freq, located once per map.
+        A map that does not cover freq raises CalibrationRangeError when it is
+        read, as the 2-D lookup does."""
+        return CalibrationSlice(
+            _slice(self.speed_map, freq), _slice(self.turn_map_left, freq),
+            _slice(self.turn_map_right, freq), self.turn_radius_left, self.turn_radius_right,
+        )
+
     @staticmethod
     def from_csv(speed_path, turn_path) -> "PlantCalibration":
         turn = BilinearTable.from_csv(turn_path, "value")
@@ -83,10 +98,29 @@ class PlantCalibration:
             return PlantCalibration.from_csv(sp, tp)
 
 
-def rates(
-    cal: PlantCalibration, freq: float, dc_l: float, dc_r: float
-) -> tuple[Mode, float, float]:
-    """Drive mode and steady-state (v m/s, omega rad/s) of a duty-cycle pair.
+class CalibrationSlice(NamedTuple):
+    """A PlantCalibration at one actuation frequency: each map's dc -> value
+    slice (BilinearTable.at) plus the nominal turn radii."""
+
+    speed_map: Callable[[float], float]          # dc -> mm/s
+    turn_map_left: Callable[[float], float]      # dc -> deg/s, >= 0
+    turn_map_right: Callable[[float], float]     # dc -> deg/s, <= 0
+    turn_radius_left: float                      # m
+    turn_radius_right: float                     # m
+
+
+def _slice(table: BilinearTable, freq: float) -> Callable[[float], float]:
+    """table.at(freq); for a freq outside the table, the 2-D lookup, which
+    raises on every call: rates reads a map only in the modes that use it."""
+    try:
+        return table.at(freq)
+    except CalibrationRangeError:
+        return functools.partial(table, freq)
+
+
+def rates(cal: CalibrationSlice, dc_l: float, dc_r: float) -> tuple[Mode, float, float]:
+    """Drive mode and steady-state (v m/s, omega rad/s) of a duty-cycle pair,
+    at the frequency cal was bound to (PlantCalibration.at).
 
     Bimorph: calibrated forward speed, zero yaw rate. Unimorph: calibrated
     turn rate with forward speed omega * nominal radius. Mixed: speed from the
@@ -94,25 +128,25 @@ def rates(
     by the duty-cycle asymmetry.
     """
     mode = mode_of(dc_l, dc_r)
-    if mode is Mode.IDLE:
+    if mode is IDLE:
         return mode, 0.0, 0.0
-    if mode is Mode.BIMORPH:
-        return mode, cal.speed_map(freq, dc_l) * 1e-3, 0.0
-    if mode is Mode.UNIMORPH_LEFT:
-        w = cal.turn_map_left(freq, dc_l) * DEG
+    if mode is BIMORPH:
+        return mode, cal.speed_map(dc_l) * 1e-3, 0.0
+    if mode is UNIMORPH_LEFT:
+        w = cal.turn_map_left(dc_l) * DEG
         return mode, abs(w) * cal.turn_radius_left, w
-    if mode is Mode.UNIMORPH_RIGHT:
-        w = cal.turn_map_right(freq, dc_r) * DEG
+    if mode is UNIMORPH_RIGHT:
+        w = cal.turn_map_right(dc_r) * DEG
         return mode, abs(w) * cal.turn_radius_right, w
     # mixed: linear blend by duty-cycle asymmetry, saturating at the
     # unimorph endpoints
     asym = (dc_l - dc_r) / (dc_l + dc_r)
     dc_dom = max(dc_l, dc_r)
     if asym > 0:
-        w = asym * cal.turn_map_left(freq, dc_dom) * DEG
+        w = asym * cal.turn_map_left(dc_dom) * DEG
     else:
-        w = -asym * cal.turn_map_right(freq, dc_dom) * DEG
-    v = cal.speed_map(freq, 0.5 * (dc_l + dc_r)) * 1e-3
+        w = -asym * cal.turn_map_right(dc_dom) * DEG
+    v = cal.speed_map(0.5 * (dc_l + dc_r)) * 1e-3
     return mode, v, w
 
 
@@ -132,7 +166,8 @@ def advance(
     if dt <= 0:
         raise ValueError("dt must be positive")
     blend = 1.0 - math.exp(-dt / response_time) if response_time > 0 else None
-    sin, cos = math.sin, math.cos
+    sin, cos, fmod, pi = math.sin, math.cos, math.fmod, math.pi
+    two_pi = 2.0 * pi
     for _ in range(n):
         if blend is not None:
             v = v + (v_cmd - v) * blend
@@ -141,12 +176,16 @@ def advance(
             v, w = v_cmd, w_cmd
         psi1 = psi + w * dt
         if abs(w) > 1e-12:
-            r1 = r1 + v / w * (sin(psi1) - sin(psi))
-            r2 = r2 - v / w * (cos(psi1) - cos(psi))
+            k = v / w
+            r1 = r1 + k * (sin(psi1) - sin(psi))
+            r2 = r2 - k * (cos(psi1) - cos(psi))
         else:
             r1 = r1 + v * cos(psi) * dt
             r2 = r2 + v * sin(psi) * dt
-        psi = wrap_angle(psi1)
+        psi = fmod(psi1 + pi, two_pi)  # wrap_angle(psi1), inlined: 4 sub-steps a tick
+        if psi <= 0.0:
+            psi += two_pi
+        psi -= pi
     return r1, r2, psi, v, w
 
 
@@ -168,22 +207,46 @@ def step(
 
 
 def observe(
-    r1: float,
-    r2: float,
-    psi: float,
-    noise_sigma: float,
-    rng: np.random.Generator | None = None,
+    r1: float, r2: float, psi: float, noise: Sequence[float] | None = None
 ) -> tuple[float, float, float]:
     """Motion-capture style observation of (r1, r2, psi).
 
-    Positions get zero-mean Gaussian noise of std noise_sigma, drawn as one
-    rng.normal(size=3) call; the heading noise is the third draw divided by
-    the marker baseline MARKER_BASELINE_M (m). Noiseless passthrough when
-    noise_sigma = 0 or there is no generator.
+    noise is one (n1, n2, n3) triple of zero-mean position noise (m), as
+    observation_noise yields them: n1 and n2 are added to the position, and
+    the heading noise is n3 divided by the marker baseline MARKER_BASELINE_M
+    (m). Noiseless passthrough when noise is None.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
-    if noise_sigma == 0.0 or rng is None:
+    if noise is None:
         return r1, r2, psi
-    n1, n2, n3 = rng.normal(0.0, noise_sigma, size=3).tolist()
+    n1, n2, n3 = noise
     return r1 + n1, r2 + n2, wrap_angle(psi + n3 / MARKER_BASELINE_M)
+
+
+def observation_noise(
+    rng: np.random.Generator, sigma: float, n: int
+) -> Iterator[list[float] | None]:
+    """Yield n noise triples for observe, each the three floats of one
+    rng.normal(0, sigma, size=3) call, drawn NOISE_CHUNK_TICKS triples at a
+    time (a block draw fills its array in the order single draws would); n
+    Nones, drawing nothing, when sigma = 0.
+
+    Closing the generator before its end leaves rng where one size=3 call per
+    triple taken would have: the generator rewinds to the state before its
+    current chunk and redraws the triples already taken.
+    """
+    if sigma < 0:
+        raise ValueError("noise_sigma must be nonnegative")
+    if sigma == 0:
+        yield from repeat(None, n)
+        return
+    for start in range(0, n, NOISE_CHUNK_TICKS):
+        size = min(NOISE_CHUNK_TICKS, n - start)
+        state = rng.bit_generator.state
+        taken = 0
+        try:
+            for taken, triple in enumerate(rng.normal(0.0, sigma, size=(size, 3)).tolist(), 1):
+                yield triple
+        finally:
+            if taken < size:
+                rng.bit_generator.state = state
+                rng.normal(0.0, sigma, size=(taken, 3))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+from collections.abc import Callable
 
 from .errors import CalibrationRangeError
 
@@ -89,16 +90,24 @@ class BilinearTable:
             return i - 1, 1.0
         return i, (x - axis[i]) / (axis[i + 1] - axis[i])
 
-    def __call__(self, freq: float, dc: float) -> float:
+    def at(self, freq: float) -> Callable[[float], float]:
+        """The table's slice at freq: a dc -> value callable that interpolates
+        as __call__ does, with the frequency located once. Raises
+        CalibrationRangeError for a freq outside the grid here, and for a dc
+        outside it when called."""
         i, u = self._locate(self.freqs, freq, "freq")
-        j, w = self._locate(self.dcs, dc, "dc")
         lo, hi = self.values[i], self.values[i + 1]
-        return (
-            lo[j] * (1 - u) * (1 - w)
-            + hi[j] * u * (1 - w)
-            + lo[j + 1] * (1 - u) * w
-            + hi[j + 1] * u * w
-        )
+        dcs, locate, a = self.dcs, self._locate, 1 - u
+
+        def value(dc: float) -> float:
+            j, w = locate(dcs, dc, "dc")
+            b = 1 - w
+            return lo[j] * a * b + hi[j] * u * b + lo[j + 1] * a * w + hi[j + 1] * u * w
+
+        return value
+
+    def __call__(self, freq: float, dc: float) -> float:
+        return self.at(freq)(dc)
 
     def node(self, freq: float, dc: float) -> tuple[int, int]:
         """Grid indices of the node at (freq, dc); the point must be a node."""

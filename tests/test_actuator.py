@@ -46,6 +46,9 @@ class TestClassifyMode:
     def test_modes(self, dcl, dcr, mode):
         assert mode_of(dcl, dcr) is mode
 
+    def test_module_names_are_the_members(self):
+        assert [getattr(actuator, m.name) for m in Mode] == list(Mode)
+
 
 class TestAveragePower:
     def test_bimorph_matches_linear_fit(self):

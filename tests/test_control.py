@@ -26,20 +26,20 @@ class TestLateralError:
     def test_rectilinear_offset(self):
         path = ReferencePath.rectilinear()
         st = ControllerState()
-        r_e, j = lateral_error(path, st, 0.1, -0.005)
+        r_e = lateral_error(path, st, 0.1, -0.005)
         assert r_e == pytest.approx(0.005)
-        assert j == 2
+        assert path.segments[st.active_segment].lateral_axis == 2
 
     def test_on_path(self):
         path = ReferencePath.rectilinear()
-        assert lateral_error(path, ControllerState(), 0.2, 0.0)[0] == 0.0
+        assert lateral_error(path, ControllerState(), 0.2, 0.0) == 0.0
 
     def test_left_turn_segment_switch(self):
         # past the corner the tracked axis switches from r2 to r1
         path = ReferencePath.left_turn(corner=0.05)
         st = ControllerState(integrator=0.123)
-        r_e, j = lateral_error(path, st, 0.05, 0.01)
-        assert j == 1
+        r_e = lateral_error(path, st, 0.05, 0.01)
+        assert path.segments[st.active_segment].lateral_axis == 1
         assert r_e == 0.0
         assert st.active_segment == 1
         assert st.integrator == 0.0  # reset at switch
@@ -47,16 +47,16 @@ class TestLateralError:
     def test_right_turn_segment_switch(self):
         path = ReferencePath.right_turn(corner=0.05)
         st = ControllerState()
-        r_e, j = lateral_error(path, st, 0.06, -0.002)
-        assert j == 1
+        r_e = lateral_error(path, st, 0.06, -0.002)
+        assert path.segments[st.active_segment].lateral_axis == 1
         assert r_e == pytest.approx(0.05 - 0.06)
         assert st.active_segment == 1
 
     def test_before_waypoint_no_switch(self):
         path = ReferencePath.left_turn(corner=0.05)
         st = ControllerState()
-        _, j = lateral_error(path, st, 0.02, 0.0)
-        assert j == 2
+        lateral_error(path, st, 0.02, 0.0)
+        assert path.segments[st.active_segment].lateral_axis == 2
         assert st.active_segment == 0
 
 

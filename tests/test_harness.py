@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -244,10 +245,28 @@ class TestPinnedTracking:
         assert {name: sha256(tmp_path / name) for name in ABORT_CASE_SHA256} == ABORT_CASE_SHA256
 
 
+@pytest.mark.parametrize("n", [0, 1, harness.LOG_BLOCK_ROWS - 1, harness.LOG_BLOCK_ROWS,
+                               harness.LOG_BLOCK_ROWS + 1, 3 * harness.LOG_BLOCK_ROWS + 5])
+def test_block_log_writer_matches_row_by_row(tmp_path, n):
+    rng = np.random.default_rng(n)
+    special = [0.0, -0.0, 5e-324, -1e300, math.inf, math.nan, 1 / 3]
+    log = []
+    for _ in range(8):
+        col = rng.normal(0.0, 1e-2, size=n)
+        col[rng.random(n) < 0.2] = rng.choice(special)
+        log.append(array("d", col.tolist()))
+    with open(tmp_path / "block.csv", "w", newline="") as f:
+        harness._write_log(f, log)
+    with open(tmp_path / "rows.csv", "w", newline="") as f:
+        f.writelines(harness.LOG_ROW % row for row in zip(*log))
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def object_api_run(cfg, path):
     """The tracking loop written with the object API (SwimmerState,
-    closed_loop_tick, step) around observe, rates and mode_of: the reference
-    for the log rows and counters of run_tracking."""
+    closed_loop_tick, step) around observe, rates and mode_of, with one
+    rng.normal(size=3) call per noisy tick: the reference for the log rows and
+    counters of run_tracking."""
     cal = PlantCalibration.default()
     rng = np.random.default_rng(cfg.seed)
     dt = 1.0 / cfg.control.loop_rate
@@ -256,9 +275,10 @@ def object_api_run(cfg, path):
     sat, peak = {"left": 0, "right": 0}, 0.0
     for k in range(int(round(cfg.duration * cfg.control.loop_rate))):
         seg_before = ctrl.active_segment
-        pose = observe(state.r1, state.r2, state.psi, cfg.noise_sigma, rng)
+        noise = rng.normal(0.0, cfg.noise_sigma, size=3).tolist() if cfg.noise_sigma else None
+        pose = observe(state.r1, state.r2, state.psi, noise)
         cmd = closed_loop_tick(cfg.control, path, ctrl, *pose, dt)
-        _, v_cmd, w_cmd = rates(cal, cmd.freq, cmd.dc_left, cmd.dc_right)
+        _, v_cmd, w_cmd = rates(cal.at(cmd.freq), cmd.dc_left, cmd.dc_right)
         rows.append((k * dt, state.r1, state.r2, state.psi, state.v, state.omega,
                      cmd.dc_left, cmd.dc_right))
         for _ in range(4):

@@ -127,6 +127,25 @@ def test_non_finite_divisor_rejected(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda x: strouhal(x, 6.34e-3, 0.0136), "f_o"),
+    (lambda x: strouhal(2.0, x, 0.0136), "a_pp"),
+    (lambda x: swim_number(x, 6.34e-3, 0.036), "f_o"),
+    (lambda x: swim_number(2.0, x, 0.036), "a_pp"),
+], ids=["st-f", "st-app", "sw-f", "sw-app"])
+@pytest.mark.parametrize("bad", [-2.0, -5e-324, -math.inf, math.inf, math.nan])
+def test_bad_numerator_named(call, name, bad):
+    # the frequency or excursion is named, not the valid divisor, and a
+    # negative one is rejected rather than giving a negative number
+    with pytest.raises(DomainError, match=f"^{name} must be finite and nonnegative$"):
+        call(bad)
+
+
+def test_zero_frequency_allowed():
+    assert strouhal(0.0, 6.34e-3, 0.0136) == 0.0
+    assert swim_number(0.0, 6.34e-3, 0.036) == 0.0
+
+
 @pytest.mark.parametrize("name", ["mass", "length", "g"])
 def test_swimmer_spec_must_be_finite(name):
     with pytest.raises(ValueError, match="finite and positive"):
@@ -214,7 +233,7 @@ class TestTrajectoryStats:
 def replayed_errors(path, r1, r2):
     """Per-sample lateral_error replay: the reference lateral_errors must match."""
     st_ = ControllerState()
-    return [lateral_error(path, st_, float(a), float(b))[0] for a, b in zip(r1, r2)]
+    return [lateral_error(path, st_, float(a), float(b)) for a, b in zip(r1, r2)]
 
 
 PATHS = [

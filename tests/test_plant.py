@@ -8,9 +8,11 @@ from milliswim.actuator import mode_of
 from milliswim.errors import CalibrationRangeError
 from milliswim.plant import (
     DEG,
+    NOISE_CHUNK_TICKS,
     PlantCalibration,
     SwimmerState,
     advance,
+    observation_noise,
     observe,
     rates,
     step,
@@ -47,47 +49,52 @@ class TestWrapAngle:
 
 class TestCommandToRates:
     def test_idle(self):
-        assert rates(CAL, 2.0, 0.0, 0.0)[1:] == (0.0, 0.0)
+        assert rates(CAL.at(2.0), 0.0, 0.0)[1:] == (0.0, 0.0)
 
     def test_bimorph_measured_speed(self):
-        v, w = rates(CAL, 2.0, 0.10, 0.10)[1:]
+        v, w = rates(CAL.at(2.0), 0.10, 0.10)[1:]
         assert v == pytest.approx(13.6e-3)
         assert w == 0.0
 
     def test_unimorph_left_measured_rate(self):
-        v, w = rates(CAL, 2.0, 0.12, 0.0)[1:]
+        v, w = rates(CAL.at(2.0), 0.12, 0.0)[1:]
         assert w == pytest.approx(12.0 * DEG)
         assert v == pytest.approx(abs(w) * CAL.turn_radius_left)
 
     def test_unimorph_right_measured_rate(self):
-        v, w = rates(CAL, 5.0, 0.0, 0.15)[1:]
+        v, w = rates(CAL.at(5.0), 0.0, 0.15)[1:]
         assert w == pytest.approx(-8.9 * DEG)
         assert v == pytest.approx(abs(w) * CAL.turn_radius_right)
 
     def test_node_exactness(self):
         for i, f in enumerate(CAL.speed_map.freqs):
             for j, d in enumerate(CAL.speed_map.dcs):
-                v, w = rates(CAL, float(f), float(d), float(d))[1:]
+                v, w = rates(CAL.at(float(f)), float(d), float(d))[1:]
                 assert v == CAL.speed_map.values[i][j] * 1e-3
                 assert w == 0.0
 
     def test_mixed_endpoints_match_unimorph(self):
         # asymmetry -> 1 recovers the left-unimorph rate at the dominant duty
-        v_mix, w_mix = rates(CAL, 3.0, 0.12, 0.08)[1:]
+        v_mix, w_mix = rates(CAL.at(3.0), 0.12, 0.08)[1:]
         asym = (0.12 - 0.08) / (0.12 + 0.08)
         w_left = CAL.turn_map_left(3.0, 0.12) * DEG
         assert w_mix == pytest.approx(asym * w_left)
         assert v_mix == pytest.approx(CAL.speed_map(3.0, 0.10) * 1e-3)
 
     def test_mixed_right_bias_sign(self):
-        _, w = rates(CAL, 3.0, 0.08, 0.12)[1:]
+        _, w = rates(CAL.at(3.0), 0.08, 0.12)[1:]
         assert w < 0.0
 
     def test_outside_hull(self):
         with pytest.raises(CalibrationRangeError):
-            rates(CAL, 2.0, 0.5, 0.5)
-        with pytest.raises(CalibrationRangeError):
-            rates(CAL, 9.0, 0.10, 0.10)
+            rates(CAL.at(2.0), 0.5, 0.5)
+        with pytest.raises(CalibrationRangeError, match="^freq=9 outside"):
+            rates(CAL.at(9.0), 0.10, 0.10)
+        # 0.5 Hz is inside the speed grid only: a map is checked when it is read
+        cal = CAL.at(0.5)
+        assert rates(cal, 0.01, 0.01)[1] == CAL.speed_map(0.5, 0.01) * 1e-3
+        with pytest.raises(CalibrationRangeError, match=r"^freq=0.5 outside calibration range \[1, 5\]"):
+            rates(cal, 0.10, 0.0)
 
     def test_mode_is_mode_of(self):
         rng = np.random.default_rng(12)
@@ -95,7 +102,7 @@ class TestCommandToRates:
             dl, dr = (float(x) for x in rng.choice([0.0, 0.05, 0.11, 0.15], 2))
             if rng.uniform() < 0.5:
                 dl, dr = (float(x) for x in rng.uniform(0.05, 0.15, 2))
-            assert rates(CAL, float(rng.uniform(1.0, 5.0)), dl, dr)[0] is mode_of(dl, dr)
+            assert rates(CAL.at(float(rng.uniform(1.0, 5.0))), dl, dr)[0] is mode_of(dl, dr)
 
 
 class TestStep:
@@ -178,30 +185,83 @@ class TestStep:
 
 class TestMeasure:
     def test_noiseless_passthrough(self):
-        assert observe(0.1, -0.2, 1.0, 0.0) == (0.1, -0.2, 1.0)
+        assert observe(0.1, -0.2, 1.0) == (0.1, -0.2, 1.0)
+        assert observe(0.1, -0.2, 1.0, None) == (0.1, -0.2, 1.0)
 
     def test_noise_statistics(self):
         rng = np.random.default_rng(101)
         sigma = 0.1e-3
-        obs = np.array([observe(0.0, 0.0, 0.0, sigma, rng) for _ in range(100_000)])
+        obs = np.array([observe(0.0, 0.0, 0.0, n) for n in observation_noise(rng, sigma, 100_000)])
         assert np.std(obs[:, 0]) == pytest.approx(sigma, rel=0.03)
         assert np.std(obs[:, 1]) == pytest.approx(sigma, rel=0.03)
         assert abs(np.mean(obs[:, 0])) < 3 * sigma / math.sqrt(100_000) * 3
 
     def test_fixed_seed_determinism(self):
-        a = observe(0.05, 0.0, 0.0, 1e-3, np.random.default_rng(42))
-        b = observe(0.05, 0.0, 0.0, 1e-3, np.random.default_rng(42))
+        a = list(observation_noise(np.random.default_rng(42), 1e-3, 300))
+        b = list(observation_noise(np.random.default_rng(42), 1e-3, 300))
         assert a == b
 
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
-            observe(0.0, 0.0, 0.0, -1e-3)
+            next(observation_noise(np.random.default_rng(0), -1e-3, 1))
 
     def test_one_size3_draw_per_observation(self):
         # the heading noise is the third draw over the 0.01 m marker baseline
-        got = observe(0.01, -0.02, 3.1, 1e-3, np.random.default_rng(4))
+        (noise,) = observation_noise(np.random.default_rng(4), 1e-3, 1)
+        got = observe(0.01, -0.02, 3.1, noise)
         n = np.random.default_rng(4).normal(0.0, 1e-3, size=3)
         assert bits(*got) == bits(0.01 + n[0], -0.02 + n[1], wrap_angle(3.1 + n[2] / 0.01))
+
+
+K = NOISE_CHUNK_TICKS
+
+
+class TestObservationNoise:
+    """observation_noise against one rng.normal(size=3) call per triple."""
+
+    @staticmethod
+    def serial(seed, sigma, n):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(0.0, sigma, size=3).tolist() for _ in range(n)], rng
+
+    @pytest.mark.parametrize("n", [0, 1, K - 1, K, K + 1, 3 * K + 7])
+    def test_stream_equals_per_tick_draws(self, n):
+        rng = np.random.default_rng(9)
+        got = list(observation_noise(rng, 2e-4, n))
+        want, ref = self.serial(9, 2e-4, n)
+        assert [bits(*t) for t in got] == [bits(*t) for t in want]
+        assert rng.random() == ref.random()
+
+    # taken: triples used before the stop (a stop at tick k has used k + 1)
+    @pytest.mark.parametrize("taken", [0, 1, 7, K - 1, K, K + 1, 2 * K, 3 * K + 6, 3 * K + 7])
+    def test_stop_leaves_rng_where_per_tick_draws_would(self, taken):
+        rng = np.random.default_rng(21)
+        noise = observation_noise(rng, 1e-4, 3 * K + 7)
+        got = [next(noise) for _ in range(taken)]
+        noise.close()
+        want, ref = self.serial(21, 1e-4, taken)
+        assert got == want
+        assert rng.random() == ref.random()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_noiseless_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        noise = observation_noise(rng, 0.0, 5)
+        assert [next(noise), next(noise)] == [None, None]
+        noise.close()
+        assert list(observation_noise(rng, 0.0, 4)) == [None] * 4
+        assert rng.random() == np.random.default_rng(3).random()
+
+    def test_shared_generator_hands_off(self):
+        # two runs on one generator, the first stopped mid-chunk, as repeats are
+        rng = np.random.default_rng(5)
+        first = observation_noise(rng, 1e-4, 1000)
+        a = [next(first) for _ in range(K + 30)]
+        first.close()
+        b = list(observation_noise(rng, 1e-4, 600))
+        want, ref = self.serial(5, 1e-4, K + 30 + 600)
+        assert a + b == want
+        assert rng.random() == ref.random()
 
 
 def reference_step(state, v_cmd, omega_cmd, dt, response_time):

@@ -137,6 +137,7 @@ def table_and_point(draw):
 def test_lookup_matches_searchsorted_formula(case):
     t, f, d = case
     assert t(f, d).hex() == searchsorted_lookup(t, f, d).hex()
+    assert t.at(f)(d).hex() == t(f, d).hex()
 
 
 CAL = PlantCalibration.default()
@@ -149,6 +150,32 @@ def test_calibration_lookups_match_searchsorted_formula(data):
     f = data.draw(st.floats(float(t.freqs[0]), float(t.freqs[-1])) | st.sampled_from(list(t.freqs)))
     d = data.draw(st.floats(float(t.dcs[0]), float(t.dcs[-1])) | st.sampled_from(list(t.dcs)))
     assert t(float(f), float(d)).hex() == searchsorted_lookup(t, float(f), float(d)).hex()
+    assert t.at(float(f))(float(d)).hex() == t(float(f), float(d)).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_slice_matches_the_2d_lookup(data):
+    # one bound slice answers every dc of its row, upper dc edge included, on the
+    # shipped grids (the right-turn grid is nonpositive) and on drawn ones
+    t, f, _ = data.draw(table_and_point())
+    t = data.draw(st.sampled_from([t, CAL.speed_map, CAL.turn_map_left, CAL.turn_map_right]))
+    f = data.draw(st.floats(t.freqs[0], t.freqs[-1]) | st.sampled_from(t.freqs[-1:] + t.freqs))
+    value = t.at(f)
+    dcs = data.draw(st.lists(st.floats(t.dcs[0], t.dcs[-1]) | st.sampled_from(t.dcs), max_size=8))
+    for d in dcs + [t.dcs[-1], t.dcs[0]]:
+        assert value(d).hex() == searchsorted_lookup(t, f, d).hex()
+
+
+def test_slice_checks_freq_when_bound_and_dc_when_called():
+    t = CAL.turn_map_right
+    for f in (0.5, math.nextafter(5.0, 6.0), math.nan):
+        with pytest.raises(CalibrationRangeError, match="^freq="):
+            t.at(f)
+    value = t.at(5.0)
+    for d in (0.04, 0.23, math.nan):
+        with pytest.raises(CalibrationRangeError, match="^dc="):
+            value(d)
 
 
 # ------------------------------------------------------------ immutability
