@@ -21,7 +21,6 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -68,7 +67,6 @@ STATS_WINDOW_FRAC = 0.8  # tracking stats cover this trailing share of the run
 # Trajectory log lines: _fmt's number format, csv.writer's \r\n terminator.
 LOG_HEADER = "t_s,r1_m,r2_m,psi_rad,v_mps,omega_radps,uL,uR\r\n"
 LOG_ROW = ",".join(["%.9g"] * 8) + "\r\n"
-LOG_BLOCK_ROWS = 256  # trajectory rows per format call of _write_log
 
 
 def _fmt(x: float) -> str:
@@ -236,7 +234,7 @@ def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
 
     def rows():
         for fr in SWEEP_FREQS:
-            app_at, speed_at = table.at(fr), cal.at(fr).speed_map
+            app_at, speed_at = table.at(fr), cal.speed_map.at(fr)
             for dc in SWEEP_DCS:
                 app = app_at(dc)
                 p_mw = average_power(ExcitationCommand(fr, dc, dc)) * 1e3
@@ -298,17 +296,6 @@ def _tick_grid(cfg: ExperimentConfig) -> tuple[int, float]:
     return int(round(cfg.duration * rate)), 1.0 / rate
 
 
-def _write_log(f, log: list[array]) -> None:
-    """Write the trajectory log columns as LOG_ROW lines, LOG_BLOCK_ROWS rows
-    per format call, reading the columns row by row without building the rows."""
-    values = chain.from_iterable(zip(*log))
-    full, rest = divmod(len(log[0]), LOG_BLOCK_ROWS)
-    block = LOG_ROW * LOG_BLOCK_ROWS
-    for _ in range(full):
-        f.write(block % tuple(islice(values, 8 * LOG_BLOCK_ROWS)))
-    f.write(LOG_ROW * rest % tuple(values))
-
-
 def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: Path,
                       rng: np.random.Generator, cal: CalibrationSlice) -> TrackingResult:
     """One closed-loop run on plain floats: observe -> tick -> rates -> log ->
@@ -366,7 +353,7 @@ def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: 
 
     with open(log_path, "w", newline="") as f:
         f.write(LOG_HEADER)
-        _write_log(f, log)
+        f.writelines(map(LOG_ROW.__mod__, zip(*log)))
 
     ticks = len(log[0])
     counters = {
@@ -389,20 +376,24 @@ def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: 
     return TrackingResult(log_path=log_path, stats=stats, failed=failed, counters=counters)
 
 
-def check_reachable_lookups(cc: ControlConfig, cal: PlantCalibration) -> None:
+def check_reachable_lookups(cc: ControlConfig, cal: PlantCalibration) -> CalibrationSlice:
     """Raise CalibrationRangeError unless every lookup the controller can make
-    at cc.freq lies inside the calibration. With duty cycles u_v +- u_psi
-    clamped to [0, u_max] and 0 < u_v <= u_max, rates reads the speed grid at
-    the pair's mean, in [min(u_v, u_max/2), u_v], and a turn grid at the
-    dominant channel, in [u_v, u_max]; both ends of each range are looked up."""
-    cal_f = cal.at(cc.freq)
+    at cc.freq lies inside the calibration; return cal bound at cc.freq. With
+    duty cycles u_v +- u_psi clamped to [0, u_max] and 0 < u_v <= u_max, rates
+    reads the speed grid at the pair's mean, in [min(u_v, u_max/2), u_v], and a
+    turn grid at the dominant channel, in [u_v, u_max]; both ends of each range
+    are looked up."""
+    maps = []
     for name, lo, hi in (("speed_map", min(cc.u_v, cc.u_max / 2), cc.u_v),
                          ("turn_map_left", cc.u_v, cc.u_max), ("turn_map_right", cc.u_v, cc.u_max)):
         try:
+            value = getattr(cal, name).at(cc.freq)
             for dc in (lo, hi):
-                getattr(cal_f, name)(dc)
+                value(dc)
         except CalibrationRangeError as e:
             raise CalibrationRangeError(f"{name}: {e}") from None
+        maps.append(value)
+    return CalibrationSlice(*maps, cal.turn_radius_left, cal.turn_radius_right)
 
 
 def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
@@ -414,8 +405,7 @@ def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
     if cfg.kind not in TRACK_PATHS:
         raise ValueError(f"{cfg.kind!r} is not a tracking experiment")
     cal = _calibration()[0]
-    check_reachable_lookups(cfg.control, cal)
-    cal_f = cal.at(cfg.control.freq)
+    cal_f = check_reachable_lookups(cfg.control, cal)
     rng = np.random.default_rng(cfg.seed)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)

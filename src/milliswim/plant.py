@@ -12,7 +12,6 @@ reproduces the observed closed-loop turn geometry.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -23,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .actuator import BIMORPH, IDLE, UNIMORPH_LEFT, UNIMORPH_RIGHT, Mode, mode_of
-from .errors import CalibrationRangeError
 from .tables import BilinearTable
 
 DEG = math.pi / 180.0
@@ -73,11 +71,10 @@ class PlantCalibration:
 
     def at(self, freq: float) -> CalibrationSlice:
         """The calibration at actuation frequency freq, located once per map.
-        A map that does not cover freq raises CalibrationRangeError when it is
-        read, as the 2-D lookup does."""
+        Raises CalibrationRangeError if a map does not cover freq."""
         return CalibrationSlice(
-            _slice(self.speed_map, freq), _slice(self.turn_map_left, freq),
-            _slice(self.turn_map_right, freq), self.turn_radius_left, self.turn_radius_right,
+            self.speed_map.at(freq), self.turn_map_left.at(freq), self.turn_map_right.at(freq),
+            self.turn_radius_left, self.turn_radius_right,
         )
 
     @staticmethod
@@ -107,15 +104,6 @@ class CalibrationSlice(NamedTuple):
     turn_map_right: Callable[[float], float]     # dc -> deg/s, <= 0
     turn_radius_left: float                      # m
     turn_radius_right: float                     # m
-
-
-def _slice(table: BilinearTable, freq: float) -> Callable[[float], float]:
-    """table.at(freq); for a freq outside the table, the 2-D lookup, which
-    raises on every call: rates reads a map only in the modes that use it."""
-    try:
-        return table.at(freq)
-    except CalibrationRangeError:
-        return functools.partial(table, freq)
 
 
 def rates(cal: CalibrationSlice, dc_l: float, dc_r: float) -> tuple[Mode, float, float]:
@@ -166,8 +154,7 @@ def advance(
     if dt <= 0:
         raise ValueError("dt must be positive")
     blend = 1.0 - math.exp(-dt / response_time) if response_time > 0 else None
-    sin, cos, fmod, pi = math.sin, math.cos, math.fmod, math.pi
-    two_pi = 2.0 * pi
+    sin, cos = math.sin, math.cos
     for _ in range(n):
         if blend is not None:
             v = v + (v_cmd - v) * blend
@@ -182,10 +169,7 @@ def advance(
         else:
             r1 = r1 + v * cos(psi) * dt
             r2 = r2 + v * sin(psi) * dt
-        psi = fmod(psi1 + pi, two_pi)  # wrap_angle(psi1), inlined: 4 sub-steps a tick
-        if psi <= 0.0:
-            psi += two_pi
-        psi -= pi
+        psi = wrap_angle(psi1)
     return r1, r2, psi, v, w
 
 

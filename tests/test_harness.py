@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -243,23 +242,6 @@ class TestPinnedTracking:
         res = run_tracking(ExperimentConfig(output_dir=tmp_path, **ABORT_CASE))
         assert [r.failed for r in res] == [True, False]
         assert {name: sha256(tmp_path / name) for name in ABORT_CASE_SHA256} == ABORT_CASE_SHA256
-
-
-@pytest.mark.parametrize("n", [0, 1, harness.LOG_BLOCK_ROWS - 1, harness.LOG_BLOCK_ROWS,
-                               harness.LOG_BLOCK_ROWS + 1, 3 * harness.LOG_BLOCK_ROWS + 5])
-def test_block_log_writer_matches_row_by_row(tmp_path, n):
-    rng = np.random.default_rng(n)
-    special = [0.0, -0.0, 5e-324, -1e300, math.inf, math.nan, 1 / 3]
-    log = []
-    for _ in range(8):
-        col = rng.normal(0.0, 1e-2, size=n)
-        col[rng.random(n) < 0.2] = rng.choice(special)
-        log.append(array("d", col.tolist()))
-    with open(tmp_path / "block.csv", "w", newline="") as f:
-        harness._write_log(f, log)
-    with open(tmp_path / "rows.csv", "w", newline="") as f:
-        f.writelines(harness.LOG_ROW % row for row in zip(*log))
-    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def object_api_run(cfg, path):

@@ -9,6 +9,7 @@ from milliswim.errors import CalibrationRangeError
 from milliswim.plant import (
     DEG,
     NOISE_CHUNK_TICKS,
+    CalibrationSlice,
     PlantCalibration,
     SwimmerState,
     advance,
@@ -67,9 +68,16 @@ class TestCommandToRates:
         assert v == pytest.approx(abs(w) * CAL.turn_radius_right)
 
     def test_node_exactness(self):
+        # bimorph reads only the speed map, whose grid starts below the turn
+        # maps' (0.5 Hz): bind it alone, with turn maps that must not be read
+        def unread(dc):
+            raise AssertionError("bimorph read a turn map")
+
         for i, f in enumerate(CAL.speed_map.freqs):
+            cal = CalibrationSlice(CAL.speed_map.at(float(f)), unread, unread,
+                                   CAL.turn_radius_left, CAL.turn_radius_right)
             for j, d in enumerate(CAL.speed_map.dcs):
-                v, w = rates(CAL.at(float(f)), float(d), float(d))[1:]
+                v, w = rates(cal, float(d), float(d))[1:]
                 assert v == CAL.speed_map.values[i][j] * 1e-3
                 assert w == 0.0
 
@@ -90,11 +98,6 @@ class TestCommandToRates:
             rates(CAL.at(2.0), 0.5, 0.5)
         with pytest.raises(CalibrationRangeError, match="^freq=9 outside"):
             rates(CAL.at(9.0), 0.10, 0.10)
-        # 0.5 Hz is inside the speed grid only: a map is checked when it is read
-        cal = CAL.at(0.5)
-        assert rates(cal, 0.01, 0.01)[1] == CAL.speed_map(0.5, 0.01) * 1e-3
-        with pytest.raises(CalibrationRangeError, match=r"^freq=0.5 outside calibration range \[1, 5\]"):
-            rates(cal, 0.10, 0.0)
 
     def test_mode_is_mode_of(self):
         rng = np.random.default_rng(12)
