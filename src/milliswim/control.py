@@ -21,6 +21,11 @@ from dataclasses import dataclass, field
 from .actuator import ExcitationCommand
 from .plant import wrap_angle
 
+# Safeguards beyond the basic law: the clamps on the LPC output and on
+# |k_i * integral| (windup).
+PSI_D_LIMIT = math.pi / 2
+INTEGRATOR_LIMIT = math.pi / 4
+
 
 @dataclass(frozen=True)
 class ControlConfig:
@@ -31,10 +36,6 @@ class ControlConfig:
     u_max: float = 0.22       # per-unit duty saturation bound
     freq: float = 3.0         # Hz, actuation frequency
     loop_rate: float = 250.0  # Hz, controller tick rate
-    # Beyond the basic law: windup/demand safeguards, configurable and
-    # disable-able (set to None) for the bare control law.
-    psi_d_limit: float | None = math.pi / 2          # clamp on the LPC output
-    integrator_limit: float | None = math.pi / 4     # clamp on |k_i * integral|
 
     def __post_init__(self):
         if not all(0 <= g < math.inf for g in (self.k_p, self.k_i, self.k_p_psi)):
@@ -43,9 +44,6 @@ class ControlConfig:
             raise ValueError("require 0 < u_v <= u_max <= 1")
         if not (0 < self.loop_rate < math.inf and 0 < self.freq < math.inf):
             raise ValueError("freq and loop_rate must be finite and positive")
-        if any(lim is not None and not 0 < lim < math.inf
-               for lim in (self.psi_d_limit, self.integrator_limit)):
-            raise ValueError("psi_d_limit and integrator_limit must be None or finite and positive")
 
 
 @dataclass(frozen=True)
@@ -95,41 +93,33 @@ class PathSegment:
 @dataclass(frozen=True)
 class ReferencePath:
     segments: tuple[PathSegment, ...]
-    kind: str = "rectilinear"
 
     def __post_init__(self):
         if not self.segments:
             raise ValueError("path needs at least one segment")
 
     @staticmethod
-    def rectilinear(length: float = 1.0) -> "ReferencePath":
-        return ReferencePath(
-            (PathSegment(heading=0.0, target=0.0, waypoint=length),), "rectilinear"
-        )
+    def rectilinear() -> "ReferencePath":
+        """Travel +n1 holding r2 = 0."""
+        return ReferencePath((PathSegment(heading=0.0, target=0.0),))
 
     @staticmethod
-    def left_turn(corner: float = 0.05, leg: float = 1.0) -> "ReferencePath":
+    def left_turn(corner: float = 0.05) -> "ReferencePath":
         """Travel +n1 holding r2 = 0, then turn left and travel +n2 holding
         r1 = corner."""
-        return ReferencePath(
-            (
-                PathSegment(heading=0.0, target=0.0, waypoint=corner),
-                PathSegment(heading=math.pi / 2, target=corner, waypoint=leg),
-            ),
-            "left_turn",
-        )
+        return ReferencePath((
+            PathSegment(heading=0.0, target=0.0, waypoint=corner),
+            PathSegment(heading=math.pi / 2, target=corner),
+        ))
 
     @staticmethod
-    def right_turn(corner: float = 0.05, leg: float = 1.0) -> "ReferencePath":
+    def right_turn(corner: float = 0.05) -> "ReferencePath":
         """Travel +n1 holding r2 = 0, then turn right and travel -n2 holding
         r1 = corner."""
-        return ReferencePath(
-            (
-                PathSegment(heading=0.0, target=0.0, waypoint=corner),
-                PathSegment(heading=-math.pi / 2, target=corner, waypoint=-leg),
-            ),
-            "right_turn",
-        )
+        return ReferencePath((
+            PathSegment(heading=0.0, target=0.0, waypoint=corner),
+            PathSegment(heading=-math.pi / 2, target=corner),
+        ))
 
     def advance(self, index: int, r1: float, r2: float) -> int:
         """Active segment index after checking waypoint crossings at (r1, r2)."""
@@ -149,7 +139,7 @@ class ReferencePath:
 class ControllerState:
     integrator: float = 0.0   # m*s, accumulated cross-track error
     active_segment: int = 0
-    integrator_clamps: int = 0  # ticks on which integrator_limit cut the integrator
+    integrator_clamps: int = 0  # ticks on which INTEGRATOR_LIMIT cut the integrator
 
 
 def lateral_error(path: ReferencePath, st: ControllerState, r1: float, r2: float) -> float:
@@ -170,22 +160,20 @@ def lateral_error(path: ReferencePath, st: ControllerState, r1: float, r2: float
 def lpc_step(cfg: ControlConfig, st: ControllerState, r_e: float, dt: float) -> float:
     """PI lateral-position law: psi_d = k_p*r_e + k_i*integral(r_e).
 
-    The integral uses the rectangular rule at the loop rate. The output (and
-    integrator, indirectly) are clamped when the respective limits are set.
+    The integral uses the rectangular rule at the loop rate. |k_i * integral|
+    is clamped at INTEGRATOR_LIMIT and the output at PSI_D_LIMIT.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     st.integrator += r_e * dt
-    if cfg.integrator_limit is not None and cfg.k_i > 0:
-        bound = cfg.integrator_limit / cfg.k_i
+    if cfg.k_i > 0:
+        bound = INTEGRATOR_LIMIT / cfg.k_i
         clamped = min(max(st.integrator, -bound), bound)
         if clamped != st.integrator:
             st.integrator = clamped
             st.integrator_clamps += 1
     psi_d = cfg.k_p * r_e + cfg.k_i * st.integrator
-    if cfg.psi_d_limit is not None:
-        psi_d = min(max(psi_d, -cfg.psi_d_limit), cfg.psi_d_limit)
-    return psi_d
+    return min(max(psi_d, -PSI_D_LIMIT), PSI_D_LIMIT)
 
 
 def heading_step(cfg: ControlConfig, psi_d: float, psi: float) -> float:

@@ -238,15 +238,10 @@ def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
             for dc in SWEEP_DCS:
                 app = app_at(dc)
                 p_mw = average_power(ExcitationCommand(fr, dc, dc)) * 1e3
-                try:
-                    v_mmps = speed_at(dc)
-                    st = strouhal(fr, app, v_mmps) if v_mmps > 0 else float("nan")
-                except CalibrationRangeError:
-                    st = float("nan")
                 i, j = table.node(fr, dc)
                 yield [
                     _fmt(fr), f"{dc:.2f}", _fmt(app), _fmt(table.aux[i][j]),
-                    _fmt(p_mw), "n/a" if math.isnan(st) else _fmt(st), table.provenance[i][j],
+                    _fmt(p_mw), _fmt(strouhal(fr, app, speed_at(dc))), table.provenance[i][j],
                 ]
 
     header = ["freq_hz", "dc_pu", "app_mm", "esd_mm", "p_mw", "st", "provenance"]
@@ -276,9 +271,9 @@ def run_turn_sweep(cfg: ExperimentConfig) -> Path:
 # ---------------------------------------------------------------- tracking
 
 TRACK_PATHS = {
-    "track_rectilinear": lambda: ReferencePath.rectilinear(length=1.0),
-    "track_left": lambda: ReferencePath.left_turn(corner=0.05),
-    "track_right": lambda: ReferencePath.right_turn(corner=0.05),
+    "track_rectilinear": ReferencePath.rectilinear(),
+    "track_left": ReferencePath.left_turn(corner=0.05),
+    "track_right": ReferencePath.right_turn(corner=0.05),
 }
 
 
@@ -409,11 +404,9 @@ def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
     rng = np.random.default_rng(cfg.seed)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    results = []
-    for rep in range(cfg.repeats):
-        path_obj = TRACK_PATHS[cfg.kind]()
-        log_path = out / f"trajectory_{rep + 1}.csv"
-        results.append(_run_one_tracking(cfg, path_obj, log_path, rng, cal_f))
+    path_obj = TRACK_PATHS[cfg.kind]
+    results = [_run_one_tracking(cfg, path_obj, out / f"trajectory_{rep + 1}.csv", rng, cal_f)
+               for rep in range(cfg.repeats)]
     summary = {f"test_{i + 1}": r.stats for i, r in enumerate(results)}
     (out / "stats.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_manifest(
@@ -576,7 +569,7 @@ def cli_main(argv=None) -> int:
         for i, r in enumerate(out):
             print(f"test {i + 1}: {json.dumps(r.stats, sort_keys=True)}")
         return 2 if any(r.failed for r in out) else 0
-    except (ValueError, FileNotFoundError, IsADirectoryError, KeyError, configparser.Error) as e:
+    except (ValueError, FileNotFoundError, IsADirectoryError, configparser.Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failures (convergence, I/O mid-run, ...)

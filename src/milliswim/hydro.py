@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .planform import Planform, RdfReport, rdf_report, resistive_drag_factor
 
 MM5_TO_M5 = 1e-15
-DEFAULT_TAIL_LENGTH_MM = 12.0  # pivot-to-tip length used to convert excursion to angle
 # simulate_cycle's convergence bound on the period map of omega_h, relative to
 # the tail rate scale
 SETTLE_REL_TOL = 1e-10
@@ -72,20 +71,6 @@ class PlateMotion:
     def mean_square(self) -> float:
         """<omega^2> over one period: amplitude^2 / 2."""
         return 0.5 * self.amplitude * self.amplitude
-
-
-def tail_motion_from_excursion(
-    app_mm: float, freq: float, tail_length_mm: float = DEFAULT_TAIL_LENGTH_MM
-) -> PlateMotion:
-    """Sinusoidal tail motion whose tip sweep matches a peak-to-peak excursion.
-
-    The angular half-amplitude is asin(A_pp/2 / L_tail); its rate amplitude is
-    2*pi*f times that. The pivot-to-tip length is a model parameter.
-    """
-    half = 0.5 * app_mm / tail_length_mm
-    if not -1.0 <= half <= 1.0:
-        raise DomainError("excursion exceeds twice the tail length")
-    return PlateMotion.sinusoid(2.0 * math.pi * freq * math.asin(half), freq)
 
 
 def reactive_torque(env: FluidEnv, p: Planform, omega: float) -> float:

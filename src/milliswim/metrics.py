@@ -155,7 +155,9 @@ def trajectory_stats(
     The RMS error uses the per-sample lateral error along the active
     segment's axis, replaying the path's own segment-switching rule. Turn
     rate and radius are taken over the contiguous peak-yaw-rate window (the
-    main turning arc); on paths without turning content the radius is None.
+    main turning arc) of a path with more than one segment; a one-segment
+    path has no turn, so its turn rate is the window's mean yaw rate and its
+    radius None.
     """
     t = np.asarray(t, dtype=float)
     if t.size == 0 or t[-1] - t[0] < window:
@@ -165,7 +167,7 @@ def trajectory_stats(
     errs = lateral_errors(path, r1, r2)
     v_sel, omega_sel = np.asarray(v)[sel], np.asarray(omega)[sel]
     radius = None
-    if path.kind == "rectilinear":
+    if len(path.segments) == 1:
         mean_rate = float(np.mean(omega_sel))
     else:
         turn = _turning_window(omega_sel)

@@ -127,6 +127,9 @@ class Planform:
         if unknown:
             raise InvalidPlanformError(f"unknown key {unknown[0]!r} for a {kind} planform")
         cfg = {"l1_mm": 0.0, **cfg} if kind == "parabola" else cfg
+        missing = [key for key in PLANFORM_KEYS[kind] if key not in cfg]
+        if missing:
+            raise InvalidPlanformError(f"missing key {missing[0]!r} for a {kind} planform")
         args = [cfg[key] for key in PLANFORM_KEYS[kind]]
         for key, v in zip(PLANFORM_KEYS[kind], args):
             if key != "points" and not _is_number(v):

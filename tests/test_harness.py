@@ -21,6 +21,8 @@ from milliswim.harness import (
     CLI_KINDS,
     CONFIG_SCHEMA,
     RUNNERS,
+    SWEEP_DCS,
+    SWEEP_FREQS,
     TRACK_PATHS,
     ExperimentConfig,
     check_reachable_lookups,
@@ -140,12 +142,15 @@ class TestExcursionSweep:
         for r in rows:
             f, dc = float(r["freq_hz"]), float(r["dc_pu"])
             v = cal.speed_map(f, dc)
-            if v > 0:
-                assert float(r["st"]) == pytest.approx(
-                    strouhal(f, float(r["app_mm"]), v), rel=1e-6
-                )
-            else:
-                assert r["st"] == "n/a"
+            assert float(r["st"]) == pytest.approx(strouhal(f, float(r["app_mm"]), v), rel=1e-6)
+
+    def test_speed_grid_covers_the_sweep(self):
+        # the sweep's st column divides by these speeds and has no fallback
+        speed = PlantCalibration.default().speed_map
+        for fr in SWEEP_FREQS:
+            speed_at = speed.at(fr)  # raises outside the grid
+            for dc in SWEEP_DCS:
+                assert speed_at(dc) > 0, (fr, dc)
 
     def test_byte_identical_rerun(self, tmp_path):
         a = run_excursion_sweep(cfg_for(tmp_path / "a", "excursion_sweep"))
@@ -282,9 +287,10 @@ def object_api_run(cfg, path):
 
 class TestCounters:
     def test_log_and_counters_match_the_object_api_loop(self, tmp_path):
-        # a tight integrator limit so that the clamp counter moves
+        # a large integral gain makes the integrator bound INTEGRATOR_LIMIT / k_i
+        # tight, so that the clamp counter moves
         cfg = cfg_for(tmp_path, "track_left", duration=10.0, seed=3, noise_sigma=1e-4,
-                      control=ControlConfig(integrator_limit=2e-3))
+                      control=ControlConfig(k_i=400.0))
         (res,) = run_tracking(cfg)
         rows, counters = object_api_run(cfg, ReferencePath.left_turn(corner=0.05))
         lines = res.log_path.read_bytes().split(b"\r\n")
@@ -517,6 +523,21 @@ class TestCli:
             {"kind": "rectangle", "height_mm": 10.0, "l1_mm": 5.0, "l2_mm": 5.0}))
         assert cli_main(["rdf", "--head", str(bad), "--tail", str(ok)]) == 1
         assert "duplicate knot" in capsys.readouterr().err
+
+    def test_rdf_missing_planform_key_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"kind": "rectangle", "l1_mm": 1, "l2_mm": 2}))
+        assert cli_main(["rdf", "--head", str(p), "--tail", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "error: missing key 'height_mm' for a rectangle planform\n")
+
+    def test_internal_key_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg):
+            return {}["missing"]
+
+        monkeypatch.setitem(RUNNERS, "speed_sweep", (broken, "sweep", "speed"))
+        assert cli_main(["--out", str(tmp_path / "o"), "sweep", "speed"]) == 2
+        assert capsys.readouterr().err == "runtime error: 'missing'\n"
 
     def test_rdf_missing_args(self, capsys):
         assert cli_main(["rdf"]) == 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milliswim import hydro
-from milliswim.errors import ConvergenceError, DomainError
+from milliswim.errors import ConvergenceError
 from milliswim.hydro import (
     CycleResult,
     FluidEnv,
@@ -18,7 +18,6 @@ from milliswim.hydro import (
     default_yaw_inertia,
     reactive_torque,
     simulate_cycle,
-    tail_motion_from_excursion,
 )
 from milliswim.planform import Planform, rdf_report_from_constants
 
@@ -214,7 +213,8 @@ def _pinned_cycle_cases():
     cases["inertia"] = m, {"yaw_inertia": 40.0 * inertia(m)}
     m = PlateMotion.sinusoid(0.8, 1.7)
     cases["n100"] = m, {"n_steps": 100, "yaw_inertia": 10.0 * inertia(m)}
-    cases["excursion"] = tail_motion_from_excursion(6.34, 2.0), {}
+    # a 12 mm tail whose tip sweeps 6.34 mm peak to peak at 2 Hz
+    cases["excursion"] = PlateMotion(2.0 * math.pi * 2.0 * math.asin(0.5 * 6.34 / 12.0), 2.0), {}
     return cases
 
 
@@ -235,17 +235,6 @@ def test_cycle_arrays_pinned(name):
     motion, kwargs = _pinned_cycle_cases()[name]
     res = simulate_cycle(FluidEnv(), None, None, motion, rdfs=NEW_RDFS, **kwargs)
     assert (res.periods_to_converge, _cycle_digest(res)) == PINNED_CYCLES[name]
-
-
-class TestTailMotionFromExcursion:
-    def test_amplitude_matches_geometry(self):
-        m = tail_motion_from_excursion(6.34, 2.0, tail_length_mm=12.0)
-        assert m.amplitude == 2.0 * math.pi * 2.0 * math.asin(0.5 * 6.34 / 12.0)
-        assert m.freq == 2.0
-
-    def test_excursion_too_large(self):
-        with pytest.raises(DomainError):
-            tail_motion_from_excursion(30.0, 2.0, tail_length_mm=12.0)
 
 
 def csv_writer_cycle_csv(res: CycleResult, path):

@@ -204,12 +204,13 @@ class TestTrajectoryStats:
         # path stays before the corner waypoint
         r1 = np.cumsum(v_arr * dt) * 0.001
         r2 = np.zeros(t.size)
-        st = trajectory_stats(
-            t, r1, r2, v_arr, w_arr, ReferencePath.left_turn(corner=10.0), t[-1] - t[0]
-        )
-        assert st["turn_radius_m"] == pytest.approx(v / w_turn, rel=0.005)
-        assert st["mean_turn_rate_radps"] == pytest.approx(w_turn, rel=0.005)
-        assert st["mean_turn_rate_degps"] == math.degrees(st["mean_turn_rate_radps"])
+        # a bare two-segment path turns as the builder's does
+        bare = ReferencePath((PathSegment(0.0, 0.0, 10.0), PathSegment(math.pi / 2, 10.0)))
+        for path in (ReferencePath.left_turn(corner=10.0), bare):
+            st = trajectory_stats(t, r1, r2, v_arr, w_arr, path, t[-1] - t[0])
+            assert st["turn_radius_m"] == pytest.approx(v / w_turn, rel=0.005)
+            assert st["mean_turn_rate_radps"] == pytest.approx(w_turn, rel=0.005)
+            assert st["mean_turn_rate_degps"] == math.degrees(st["mean_turn_rate_radps"])
 
     def test_translation_invariance(self):
         t, r1, r2, v, w = straight_log(offset=1e-3)
@@ -218,8 +219,7 @@ class TestTrajectoryStats:
             tuple(
                 type(s)(heading=s.heading, target=s.target + 0.5, waypoint=s.waypoint)
                 for s in ReferencePath.rectilinear().segments
-            ),
-            "rectilinear",
+            )
         )
         moved = trajectory_stats(t, r1, r2 + 0.5, v, w, shifted_path, 10.0)
         assert moved["rms_error_m"] == pytest.approx(base["rms_error_m"], abs=1e-12)
@@ -237,9 +237,9 @@ def replayed_errors(path, r1, r2):
 
 
 PATHS = [
-    ReferencePath.rectilinear(length=0.01),
-    ReferencePath.left_turn(corner=0.01, leg=0.02),
-    ReferencePath.right_turn(corner=0.01, leg=0.02),
+    ReferencePath.rectilinear(),
+    ReferencePath.left_turn(corner=0.01),
+    ReferencePath.right_turn(corner=0.01),
     ReferencePath((  # a terminal-less middle segment stops the switching
         PathSegment(0.0, 0.0, 0.01), PathSegment(math.pi / 2, 0.01), PathSegment(0.0, 0.02),
     )),

@@ -356,6 +356,16 @@ class TestConfigLoading:
         with pytest.raises(InvalidPlanformError, match=f"unknown key '{key}'"):
             Planform.from_config(cfg)
 
+    @pytest.mark.parametrize("cfg, key", [
+        ({"kind": "rectangle", "l1_mm": 1, "l2_mm": 2}, "height_mm"),
+        ({"kind": "parabola", "height_mm": 4}, "root_mm"),
+        ({"kind": "tabulated", "l1_mm": 0, "l2_mm": 1}, "points"),
+    ])
+    def test_missing_key_rejected(self, cfg, key):
+        with pytest.raises(InvalidPlanformError,
+                           match=f"^missing key '{key}' for a {cfg['kind']} planform$"):
+            Planform.from_config(cfg)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidPlanformError, match="unknown planform kind 'circle'"):
             Planform.from_config({"kind": "circle"})
