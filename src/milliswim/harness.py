@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import functools
 import json
 import math
@@ -56,21 +55,13 @@ from .planform import (
     rdf_report_from_constants,
 )
 
-SWEEP_FREQS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
-SWEEP_DCS = tuple(round(k / 100.0, 2) for k in range(1, 11))
-TURN_FREQS = (1.0, 2.0, 3.0, 4.0, 5.0)
-TURN_DCS = tuple(round(k / 100.0, 2) for k in range(5, 16))
+# The speed and turn sweeps print their grids' nodes up to these duty cycles;
+# the excursion sweep prints every node of its grid.
+SPEED_SWEEP_MAX_DC = 0.10
+TURN_SWEEP_MAX_DC = 0.15
 
 PLANT_SUBSTEP_S = 1e-3  # zero-order-hold plant step between control ticks
 STATS_WINDOW_FRAC = 0.8  # tracking stats cover this trailing share of the run
-
-# Trajectory log lines: _fmt's number format, csv.writer's \r\n terminator.
-LOG_HEADER = "t_s,r1_m,r2_m,psi_rad,v_mps,omega_radps,uL,uR\r\n"
-LOG_ROW = ",".join(["%.9g"] * 8) + "\r\n"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
 
 
 # The experiment config schema: INI section -> key -> (field path in
@@ -130,6 +121,9 @@ class ExperimentConfig:
         if not math.isfinite(self.cycle_tail_amp):
             raise ValueError("cycle_tail_amp must be finite")
         if self.kind in TRACK_PATHS:
+            if not math.isfinite(self.duration * self.control.loop_rate):
+                raise ValueError(f"duration {self.duration:g} s at {self.control.loop_rate:g} Hz"
+                                 " is not a finite number of control ticks")
             n_ticks, dt_tick = _tick_grid(self)
             # trajectory_stats compares the log's span, n_ticks - 1 ticks, with this
             # window; a run shorter than one tick fails it too
@@ -157,8 +151,8 @@ class ExperimentConfig:
                 k: v for k, v in snap.items() if k == "run" or not isinstance(v, dict)}
         else:
             ini = configparser.ConfigParser()
-            if not ini.read(path):
-                raise FileNotFoundError(path)
+            with open(path) as f:
+                ini.read_file(f)
             sections = {k: dict(v) for k, v in ini.items() if k != ini.default_section or len(v)}
         fields, nested = {}, {}
         for section, body in sections.items():
@@ -190,6 +184,14 @@ class ExperimentConfig:
         return {**snap.pop("run"), **snap}
 
 
+def _write_csv(path: Path, header: str, row_format: str, rows) -> None:
+    """Write a data CSV: the header, then row_format % row per row, each line
+    ended by CRLF as csv.writer ends it. The formats fix every float's text."""
+    with open(path, "w", newline="") as f:
+        f.write(header + "\r\n")
+        f.writelines(map((row_format + "\r\n").__mod__, rows))
+
+
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summary: dict,
                     counters: dict | None = None):
     """Write config snapshot and manifest; the manifest lands last (atomic-ish)."""
@@ -215,57 +217,51 @@ def _calibration():
 
 # ---------------------------------------------------------------- sweeps
 
-def _write_sweep(cfg: ExperimentConfig, name: str, header: list[str], rows) -> Path:
+def _nodes(table, max_dc: float = math.inf) -> list[tuple[int, float, int, float]]:
+    """(i, freqs[i], j, dcs[j]) of each node of table with dc <= max_dc, row by row."""
+    return [(i, fr, j, dc) for i, fr in enumerate(table.freqs)
+            for j, dc in enumerate(table.dcs) if dc <= max_dc]
+
+
+def _write_sweep(cfg: ExperimentConfig, name: str, header: str, row_format: str,
+                 rows: list) -> Path:
     """Make the output directory, write the sweep CSV and then the manifest."""
-    rows = list(rows)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.output_dir / name
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
+    _write_csv(path, header, row_format, rows)
     _write_manifest(cfg.output_dir, cfg, [name], {"rows": len(rows)})
     return path
 
 
 def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
-    """Excursion sweep over the characterization grid; one row per (f, DC)."""
+    """Excursion sweep over the excursion table's nodes; one row per (f, DC)."""
     cal, table = _calibration()
-
-    def rows():
-        for fr in SWEEP_FREQS:
-            app_at, speed_at = table.at(fr), cal.speed_map.at(fr)
-            for dc in SWEEP_DCS:
-                app = app_at(dc)
-                p_mw = average_power(ExcitationCommand(fr, dc, dc)) * 1e3
-                i, j = table.node(fr, dc)
-                yield [
-                    _fmt(fr), f"{dc:.2f}", _fmt(app), _fmt(table.aux[i][j]),
-                    _fmt(p_mw), _fmt(strouhal(fr, app, speed_at(dc))), table.provenance[i][j],
-                ]
-
-    header = ["freq_hz", "dc_pu", "app_mm", "esd_mm", "p_mw", "st", "provenance"]
-    return _write_sweep(cfg, "excursion_sweep.csv", header, rows())
+    rows = []
+    for i, fr, j, dc in _nodes(table):
+        app = table.values[i][j]
+        p_mw = average_power(ExcitationCommand(fr, dc, dc)) * 1e3
+        st = strouhal(fr, app, cal.speed_map(fr, dc))
+        rows.append((fr, dc, app, table.aux[i][j], p_mw, st, table.provenance[i][j]))
+    header = "freq_hz,dc_pu,app_mm,esd_mm,p_mw,st,provenance"
+    return _write_sweep(cfg, "excursion_sweep.csv", header, "%.9g,%.2f,%.9g,%.9g,%.9g,%.9g,%s",
+                        rows)
 
 
 def run_speed_sweep(cfg: ExperimentConfig) -> Path:
     speed = _calibration()[0].speed_map
-    rows = (
-        [_fmt(fr), f"{dc:.2f}", _fmt(value(dc)), speed.node_provenance(fr, dc)]
-        for fr in SWEEP_FREQS for value in (speed.at(fr),) for dc in SWEEP_DCS
-    )
-    return _write_sweep(cfg, "speed_sweep.csv", ["freq_hz", "dc_pu", "v_mmps", "provenance"], rows)
+    rows = [(fr, dc, speed.values[i][j], speed.provenance[i][j])
+            for i, fr, j, dc in _nodes(speed, SPEED_SWEEP_MAX_DC)]
+    return _write_sweep(cfg, "speed_sweep.csv", "freq_hz,dc_pu,v_mmps,provenance",
+                        "%.9g,%.2f,%.9g,%s", rows)
 
 
 def run_turn_sweep(cfg: ExperimentConfig) -> Path:
     cal = _calibration()[0]
-    rows = (
-        [_fmt(fr), f"{dc:.2f}", side, _fmt(value(dc)), table.node_provenance(fr, dc)]
-        for side, table in (("left", cal.turn_map_left), ("right", cal.turn_map_right))
-        for fr in TURN_FREQS for value in (table.at(fr),) for dc in TURN_DCS
-    )
-    header = ["freq_hz", "dc_pu", "side", "rate_degps", "provenance"]
-    return _write_sweep(cfg, "turn_sweep.csv", header, rows)
+    rows = [(fr, dc, side, table.values[i][j], table.provenance[i][j])
+            for side, table in (("left", cal.turn_map_left), ("right", cal.turn_map_right))
+            for i, fr, j, dc in _nodes(table, TURN_SWEEP_MAX_DC)]
+    return _write_sweep(cfg, "turn_sweep.csv", "freq_hz,dc_pu,side,rate_degps,provenance",
+                        "%.9g,%.2f,%s,%.9g,%s", rows)
 
 
 # ---------------------------------------------------------------- tracking
@@ -346,9 +342,8 @@ def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: 
             break
     noises.close()  # after an abort, leaves rng where per-tick draws would
 
-    with open(log_path, "w", newline="") as f:
-        f.write(LOG_HEADER)
-        f.writelines(map(LOG_ROW.__mod__, zip(*log)))
+    _write_csv(log_path, "t_s,r1_m,r2_m,psi_rad,v_mps,omega_radps,uL,uR", ",".join(["%.9g"] * 8),
+               zip(*log))
 
     ticks = len(log[0])
     counters = {
@@ -378,17 +373,15 @@ def check_reachable_lookups(cc: ControlConfig, cal: PlantCalibration) -> Calibra
     reads the speed grid at the pair's mean, in [min(u_v, u_max/2), u_v], and a
     turn grid at the dominant channel, in [u_v, u_max]; both ends of each range
     are looked up."""
-    maps = []
+    cal_f = cal.at(cc.freq)
     for name, lo, hi in (("speed_map", min(cc.u_v, cc.u_max / 2), cc.u_v),
                          ("turn_map_left", cc.u_v, cc.u_max), ("turn_map_right", cc.u_v, cc.u_max)):
         try:
-            value = getattr(cal, name).at(cc.freq)
             for dc in (lo, hi):
-                value(dc)
+                getattr(cal_f, name)(dc)
         except CalibrationRangeError as e:
             raise CalibrationRangeError(f"{name}: {e}") from None
-        maps.append(value)
-    return CalibrationSlice(*maps, cal.turn_radius_left, cal.turn_radius_right)
+    return cal_f
 
 
 def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
@@ -426,7 +419,9 @@ def run_constrained_cycle(cfg: ExperimentConfig) -> Path:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     path = out / "cycle.csv"
-    res.write_csv(path)
+    cols = (res.t, res.omega_h, res.omega_t, res.tau_rh, res.tau_rt, res.tau_b)
+    _write_csv(path, "t_s,omega_h,omega_t,tau_rh,tau_rt,tau_b", ",".join(["%.10g"] * 6),
+               zip(*(c.tolist() for c in cols)))
     summary = {
         "mean_tau_rh": res.mean_tau_rh,
         "mean_tau_rt": res.mean_tau_rt,

@@ -119,13 +119,6 @@ class CycleResult:
         """Cycle-mean reactive torque magnitude, for relative balance checks."""
         return float(np.mean(np.abs(self.tau_rt)))
 
-    def write_csv(self, path):
-        cols = (self.t, self.omega_h, self.omega_t, self.tau_rh, self.tau_rt, self.tau_b)
-        with open(path, "w", newline="") as f:  # csv.writer's \r\n line terminator
-            f.write("t_s,omega_h,omega_t,tau_rh,tau_rt,tau_b\r\n")
-            f.writelines(map(("%.10g," * 5 + "%.10g\r\n").__mod__,
-                             zip(*(c.tolist() for c in cols))))
-
 
 def default_yaw_inertia(env: FluidEnv, rdfs: RdfReport, period: float, mean_sq_t: float) -> float:
     """Lumped yaw inertia giving fast, RK4-stable head settling against a tail

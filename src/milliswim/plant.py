@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .actuator import BIMORPH, IDLE, UNIMORPH_LEFT, UNIMORPH_RIGHT, Mode, mode_of
+from .errors import CalibrationRangeError
 from .tables import BilinearTable
 
 DEG = math.pi / 180.0
@@ -71,11 +72,15 @@ class PlantCalibration:
 
     def at(self, freq: float) -> CalibrationSlice:
         """The calibration at actuation frequency freq, located once per map.
-        Raises CalibrationRangeError if a map does not cover freq."""
-        return CalibrationSlice(
-            self.speed_map.at(freq), self.turn_map_left.at(freq), self.turn_map_right.at(freq),
-            self.turn_radius_left, self.turn_radius_right,
-        )
+        Raises CalibrationRangeError, prefixed with the map's name, if a map
+        does not cover freq."""
+        maps = []
+        for name in ("speed_map", "turn_map_left", "turn_map_right"):
+            try:
+                maps.append(getattr(self, name).at(freq))
+            except CalibrationRangeError as e:
+                raise CalibrationRangeError(f"{name}: {e}") from None
+        return CalibrationSlice(*maps, self.turn_radius_left, self.turn_radius_right)
 
     @staticmethod
     def from_csv(speed_path, turn_path) -> "PlantCalibration":

@@ -108,20 +108,3 @@ class BilinearTable:
 
     def __call__(self, freq: float, dc: float) -> float:
         return self.at(freq)(dc)
-
-    def node(self, freq: float, dc: float) -> tuple[int, int]:
-        """Grid indices of the node at (freq, dc); the point must be a node."""
-        ij = []
-        for axis, x in ((self.freqs, freq), (self.dcs, dc)):
-            # np.argmin's index (the nearest node, the first on a tie), kept if
-            # np.isclose(axis[k], x) holds; no node is close to NaN or +-inf
-            dist = [abs(a - x) for a in axis]
-            ij.append(dist.index(min(dist)))
-            if not (math.isfinite(x) and dist[ij[-1]] <= 1e-8 + 1e-5 * abs(x)):
-                raise CalibrationRangeError(f"({freq}, {dc}) is not a grid node")
-        return tuple(ij)
-
-    def node_provenance(self, freq: float, dc: float) -> str:
-        """Provenance of the grid node at (freq, dc); the point must be a node."""
-        i, j = self.node(freq, dc)
-        return self.provenance[i][j]

@@ -14,6 +14,7 @@ from milliswim.actuator import (
     mode_of,
 )
 from milliswim.errors import CalibrationRangeError
+from milliswim.plant import PlantCalibration
 from milliswim.tables import BilinearTable
 
 
@@ -82,10 +83,14 @@ class TestExcursionTable:
         assert t(5.0, 0.10) == 3.75
 
     def test_every_node_exact(self):
-        t = default_excursion_table()
-        for i, f in enumerate(t.freqs):
-            for j, d in enumerate(t.dcs):
-                assert t(f, d) == t.values[i][j]
+        # the sweeps print values[i][j] at the nodes: a lookup there gives the
+        # same float, bit for bit (repr tells -0.0 from 0.0)
+        cal = PlantCalibration.default()
+        for t in (default_excursion_table(), cal.speed_map, cal.turn_map_left, cal.turn_map_right):
+            for i, f in enumerate(t.freqs):
+                at_f = t.at(f)
+                for j, d in enumerate(t.dcs):
+                    assert repr(t(f, d)) == repr(at_f(d)) == repr(t.values[i][j])
 
     def test_bilinear_midpoint(self):
         t = default_excursion_table()
@@ -110,7 +115,7 @@ class TestExcursionTable:
                     w.writerow([fr, dc, app * fr, 0.1, "text"])
         t = BilinearTable.from_csv(p, "app_mm", "esd_mm")["both"]
         assert t(2.0, 0.10) == 10.0
-        assert t.node_provenance(1.0, 0.05) == "text"
+        assert t.provenance[0][0] == "text"
 
     def test_negative_excursion_rejected(self, tmp_path, monkeypatch):
         with open(tmp_path / "excursion.csv", "w", newline="") as f:

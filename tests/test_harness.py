@@ -14,15 +14,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from milliswim import harness
-from milliswim.actuator import Mode, mode_of
+from milliswim.actuator import Mode, default_excursion_table, mode_of
 from milliswim.control import ControlConfig, ControllerState, ReferencePath, closed_loop_tick
 from milliswim.errors import CalibrationRangeError
 from milliswim.harness import (
     CLI_KINDS,
     CONFIG_SCHEMA,
     RUNNERS,
-    SWEEP_DCS,
-    SWEEP_FREQS,
     TRACK_PATHS,
     ExperimentConfig,
     check_reachable_lookups,
@@ -145,11 +143,12 @@ class TestExcursionSweep:
             assert float(r["st"]) == pytest.approx(strouhal(f, float(r["app_mm"]), v), rel=1e-6)
 
     def test_speed_grid_covers_the_sweep(self):
-        # the sweep's st column divides by these speeds and has no fallback
-        speed = PlantCalibration.default().speed_map
-        for fr in SWEEP_FREQS:
+        # the sweep's st column divides by the speed at each excursion node and
+        # has no fallback
+        speed, table = PlantCalibration.default().speed_map, default_excursion_table()
+        for fr in table.freqs:
             speed_at = speed.at(fr)  # raises outside the grid
-            for dc in SWEEP_DCS:
+            for dc in table.dcs:
                 assert speed_at(dc) > 0, (fr, dc)
 
     def test_byte_identical_rerun(self, tmp_path):
@@ -580,6 +579,16 @@ class TestCli:
     def test_bad_config_exit_1(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "missing.ini"), "cycle"]) == 1
 
+    @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["missing", "directory"])
+    def test_unreadable_ini_reports_the_os_error(self, tmp_path, capsys, make):
+        path, out = tmp_path / "exp.ini", tmp_path / "run"
+        make(path)
+        with pytest.raises(OSError) as expected:
+            open(path)
+        assert cli_main(["--config", str(path), "--out", str(out), "cycle"]) == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["exp.ini", "config.snapshot.json"])
     def test_config_directory_exit_1(self, tmp_path, capsys, name):
         (tmp_path / name).mkdir()
@@ -594,6 +603,8 @@ class TestCli:
         ("", ["track", "line", "--duration", "nan"]),
         ("", ["track", "line", "--duration", "0"]),
         ("", ["track", "line", "--duration", "inf"]),
+        ("", ["track", "line", "--duration", "1e308"]),
+        ("[control]\nloop_hz = 1e308\n", ["track", "line"]),
         ("[run]\nrepeats = 0\n", ["cycle"]),
         ("", ["track", "line", "--noise-sigma", "-0.001"]),
         ("", ["track", "line", "--noise-sigma", "nan"]),
@@ -644,7 +655,7 @@ class TestCli:
         ('{"kind": "parabola", "height_mm": -3, "root_mm": 10}',
          ["rdf", "--head", CONFIG, "--tail", CONFIG]),
     ], ids=["ini-duration", "repeats-0", "repeats-neg", "duration-nan", "duration-0",
-            "duration-inf", "ini-repeats", "noise-neg", "noise-nan", "ini-noise-neg",
+            "duration-inf", "duration-ticks-inf", "ini-loop-hz-ticks-inf", "ini-repeats", "noise-neg", "noise-nan", "ini-noise-neg",
             "duration-under-a-tick", "duration-under-the-stats-window",
             "rho-nan", "cycle-freq-0", "response-time-neg", "response-time-nan", "kp-nan",
             "loop-hz-nan", "seed-neg", "no-section-header", "duplicate-option",
@@ -696,6 +707,29 @@ class TestCli:
         snap = json.loads((out / "config.snapshot.json").read_text())
         assert (snap["kind"], snap["seed"], snap["duration_s"]) == ("track_left", 5, 2.0)
         assert snap["plant"]["noise_sigma_m"] == 2e-4
+
+
+csv_values = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+     1e16, 1.5e-10, 123456.78901234])
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=st.sampled_from([".9g", ".10g"]),
+       rows=st.integers(1, 8).flatmap(lambda n: st.lists(
+           st.lists(csv_values, min_size=n, max_size=n), max_size=12)))
+def test_write_csv_matches_csv_writer(spec, rows):
+    # csv.writer rows of f"{v:<spec>}" strings are the reference, byte for byte
+    n = len(rows[0]) if rows else 1
+    header = ",".join(f"c{k}" for k in range(n))
+    with tempfile.TemporaryDirectory() as d:
+        got, ref = Path(d) / "got.csv", Path(d) / "ref.csv"
+        harness._write_csv(got, header, ",".join([f"%{spec}"] * n), map(tuple, rows))
+        with open(ref, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header.split(","))
+            w.writerows([format(v, spec) for v in row] for row in rows)
+        assert got.read_bytes() == ref.read_bytes()
 
 
 def tree_digests(root: Path) -> dict:

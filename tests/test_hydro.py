@@ -1,17 +1,12 @@
-import csv
 import hashlib
 import math
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from milliswim import hydro
 from milliswim.errors import ConvergenceError
 from milliswim.hydro import (
-    CycleResult,
     FluidEnv,
     PlateMotion,
     balanced_head_amplitude,
@@ -235,33 +230,4 @@ def test_cycle_arrays_pinned(name):
     motion, kwargs = _pinned_cycle_cases()[name]
     res = simulate_cycle(FluidEnv(), None, None, motion, rdfs=NEW_RDFS, **kwargs)
     assert (res.periods_to_converge, _cycle_digest(res)) == PINNED_CYCLES[name]
-
-
-def csv_writer_cycle_csv(res: CycleResult, path):
-    """The cycle CSV as csv.writer rows of f"{v:.10g}" numpy scalars: the
-    reference that write_csv must match byte for byte."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t_s", "omega_h", "omega_t", "tau_rh", "tau_rt", "tau_b"])
-        for k in range(res.t.size):
-            w.writerow([f"{v:.10g}" for v in (
-                res.t[k], res.omega_h[k], res.omega_t[k],
-                res.tau_rh[k], res.tau_rt[k], res.tau_b[k])])
-
-
-cycle_values = st.floats(allow_subnormal=True) | st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan,
-     1e16, 1.5e-10, 123456.78901234])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 12).flatmap(
-    lambda n: st.lists(st.lists(cycle_values, min_size=n, max_size=n), min_size=6, max_size=6)))
-def test_write_csv_matches_csv_writer(cols):
-    res = CycleResult(*(np.array(c, dtype=float) for c in cols), periods_to_converge=1)
-    with tempfile.TemporaryDirectory() as d:
-        got, ref = Path(d) / "got.csv", Path(d) / "ref.csv"
-        res.write_csv(got)
-        csv_writer_cycle_csv(res, ref)
-        assert got.read_bytes() == ref.read_bytes()
 

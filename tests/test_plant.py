@@ -96,8 +96,13 @@ class TestCommandToRates:
     def test_outside_hull(self):
         with pytest.raises(CalibrationRangeError):
             rates(CAL.at(2.0), 0.5, 0.5)
-        with pytest.raises(CalibrationRangeError, match="^freq=9 outside"):
+        with pytest.raises(CalibrationRangeError, match="^speed_map: freq=9 outside"):
             rates(CAL.at(9.0), 0.10, 0.10)
+
+    def test_binding_names_the_map(self):
+        # the speed grid starts at 0.5 Hz, the turn grids at 1 Hz
+        with pytest.raises(CalibrationRangeError, match=r"^turn_map_left: freq=0\.5 outside"):
+            PlantCalibration.default().at(0.5)
 
     def test_mode_is_mode_of(self):
         rng = np.random.default_rng(12)

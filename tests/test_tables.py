@@ -43,10 +43,9 @@ class TestFromCsv:
         t = BilinearTable.from_csv(p, "app_mm", "esd_mm")["both"]
         np.testing.assert_array_equal(t.values, [[3.0, 5.0], [6.0, 10.0]])
         np.testing.assert_array_equal(t.aux, [[0.1, 0.2], [0.3, 0.4]])
-        i, j = t.node(2.0, 0.05)
-        assert t.aux[i][j] == 0.3
-        assert t.node_provenance(1.0, 0.05) == "text"
-        assert t.node_provenance(1.0, 0.10) == "digitized"
+        assert t.aux[1][0] == 0.3  # (2.0, 0.05)
+        assert t.provenance[0][0] == "text"  # (1.0, 0.05)
+        assert t.provenance[0][1] == "digitized"  # (1.0, 0.10)
 
     def test_side_column_splits_tables(self, tmp_path):
         header = ["freq_hz", "dc_pu", "side", "value", "provenance"]
@@ -80,8 +79,6 @@ class TestFromCsv:
                                    "app_mm")["both"]
         with pytest.raises(CalibrationRangeError):
             t(2.5, 0.05)
-        with pytest.raises(CalibrationRangeError):
-            t.node(1.5, 0.05)
 
 
 # ------------------------------------------------ lookup vs the numpy formula
@@ -206,73 +203,3 @@ def test_table_keeps_its_own_copies():
 def test_nan_axis_rejected(axis):
     with pytest.raises(ValueError, match="strictly increasing"):
         BilinearTable(axis, [0.1, 0.2], np.ones((len(axis), 2)))
-
-
-# ------------------------------------------------ node vs the numpy formula
-
-
-def argmin_isclose_node(t: BilinearTable, freq: float, dc: float):
-    """The node lookup as an np.argmin/np.isclose formula on the numpy axes:
-    node must return the same indices, or raise where this returns None."""
-    i = int(np.argmin(np.abs(np.asarray(t.freqs) - freq)))
-    j = int(np.argmin(np.abs(np.asarray(t.dcs) - dc)))
-    if not (np.isclose(t.freqs[i], freq) and np.isclose(t.dcs[j], dc)):
-        return None
-    return i, j
-
-
-@st.composite
-def axis_point(draw, axis):
-    where = draw(st.sampled_from(["node", "near", "bound", "between", "any", "special"]))
-    if where == "special":
-        return draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]))
-    if where == "any":
-        return draw(st.floats(allow_nan=False, allow_infinity=False))
-    k = draw(st.integers(0, len(axis) - 1))
-    if where == "node":
-        return axis[k]
-    if where == "near":  # about np.isclose's bound, |x - node| vs 1e-8 + 1e-5*|x|
-        rel, ab = draw(st.floats(-3e-5, 3e-5)), draw(st.floats(-3e-8, 3e-8))
-        return axis[k] * (1.0 + rel) + ab
-    if where == "bound":  # a few ulps from |x - node| == 1e-8 + 1e-5*|x|, either side
-        s = draw(st.sampled_from([-1.0, 1.0]))
-        x = (axis[k] + s * 1e-8) / (1.0 - s * math.copysign(1e-5, axis[k] + s * 1e-8))
-        for _ in range(draw(st.integers(0, 4))):
-            x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
-        return x
-    k = min(k, len(axis) - 2)
-    return axis[k] + draw(st.floats(0.0, 1.0)) * (axis[k + 1] - axis[k])
-
-
-@st.composite
-def table_and_node_query(draw):
-    tiny = st.floats(-1e-7, 1e-7, allow_subnormal=True)  # many nodes in the atol band
-    axes = [
-        sorted(draw(st.sets(st.floats(-1e3, 1e3) | tiny, min_size=2, max_size=8)))
-        for _ in range(2)
-    ]
-    t = BilinearTable(axes[0], axes[1], np.zeros((len(axes[0]), len(axes[1]))))
-    return t, draw(axis_point(axes[0])), draw(axis_point(axes[1]))
-
-
-def assert_node_matches_reference(t: BilinearTable, f: float, d: float):
-    expected = argmin_isclose_node(t, f, d)
-    if expected is None:
-        with pytest.raises(CalibrationRangeError, match="not a grid node"):
-            t.node(f, d)
-    else:
-        assert t.node(f, d) == expected
-
-
-@settings(max_examples=400, deadline=None)
-@given(table_and_node_query())
-def test_node_matches_argmin_isclose(case):
-    assert_node_matches_reference(*case)
-
-
-def test_calibration_nodes_match_argmin_isclose():
-    for t in (CAL.speed_map, CAL.turn_map_left, CAL.turn_map_right, default_excursion_table()):
-        for f in t.freqs:
-            for d in t.dcs:
-                for x, y in ((f, d), (f * (1 + 2e-6), d + 1e-9), (f + 1e-4, d), (f, d - 1e-6)):
-                    assert_node_matches_reference(t, x, y)
