@@ -16,10 +16,10 @@ the integrator resets at the switch.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .actuator import ExcitationCommand
-from .plant import wrap_angle
 
 # Safeguards beyond the basic law: the clamps on the LPC output and on
 # |k_i * integral| (windup).
@@ -142,83 +142,67 @@ class ControllerState:
     integrator_clamps: int = 0  # ticks on which INTEGRATOR_LIMIT cut the integrator
 
 
-def lateral_error(path: ReferencePath, st: ControllerState, r1: float, r2: float) -> float:
-    """Lateral error r_e,j = r_d,j - r_j along the active segment's axis j
-    (path.segments[st.active_segment].lateral_axis).
-
-    Advances st.active_segment past crossed waypoints first, resetting the
-    integrator on a switch.
-    """
-    idx = path.advance(st.active_segment, r1, r2)
-    if idx != st.active_segment:
-        st.active_segment = idx
-        st.integrator = 0.0
-    seg = path.segments[idx]
-    return seg.target - (r1 if seg.lateral_axis == 1 else r2)
-
-
-def lpc_step(cfg: ControlConfig, st: ControllerState, r_e: float, dt: float) -> float:
-    """PI lateral-position law: psi_d = k_p*r_e + k_i*integral(r_e).
-
-    The integral uses the rectangular rule at the loop rate. |k_i * integral|
-    is clamped at INTEGRATOR_LIMIT and the output at PSI_D_LIMIT.
+def controller(
+    cfg: ControlConfig, path: ReferencePath, dt: float
+) -> Callable[[ControllerState, float, float, float], tuple[float, float]]:
+    """The control tick of the module docstring, bound once to cfg's gains,
+    the path and the tick length dt: step(st, r1, r2, psi) -> (u_l, u_r), the
+    duty cycles for an observed pose, updating st. The PI integral uses the
+    rectangular rule at dt; |k_i * integral| is clamped at INTEGRATOR_LIMIT
+    (each cut counted in st.integrator_clamps) and the LPC output at
+    PSI_D_LIMIT. The correction is applied about the active segment's nominal
+    heading, signed so that a body-left error steers left; the heading demand
+    and the heading error are wrapped by plant.wrap_angle's rule, inline.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    st.integrator += r_e * dt
-    if cfg.k_i > 0:
-        bound = INTEGRATOR_LIMIT / cfg.k_i
-        clamped = min(max(st.integrator, -bound), bound)
-        if clamped != st.integrator:
-            st.integrator = clamped
+    k_p, k_i, k_p_psi, u_v, u_max = cfg.k_p, cfg.k_i, cfg.k_p_psi, cfg.u_v, cfg.u_max
+    clamp = k_i > 0
+    hi = INTEGRATOR_LIMIT / k_i if clamp else math.inf
+    lo, psi_d_hi, psi_d_lo = -hi, PSI_D_LIMIT, -PSI_D_LIMIT
+    legs = [(s.heading, s.target, s.lateral_axis == 1, s.left_normal_sign)
+            for s in path.segments]
+    last = len(legs) - 1
+    advance = path.advance
+    fmod, pi, two_pi = math.fmod, math.pi, 2.0 * math.pi
+
+    def step(st: ControllerState, r1: float, r2: float, psi: float) -> tuple[float, float]:
+        idx = st.active_segment
+        if idx < last:
+            new = advance(idx, r1, r2)
+            if new != idx:
+                st.active_segment = idx = new
+                st.integrator = 0.0
+        heading, target, on_r1, sign = legs[idx]
+        r_e = sign * (target - (r1 if on_r1 else r2))  # lateral error, + to body-left
+        integral = st.integrator + r_e * dt
+        if clamp and not lo <= integral <= hi:
+            integral = min(max(integral, lo), hi)
             st.integrator_clamps += 1
-    psi_d = cfg.k_p * r_e + cfg.k_i * st.integrator
-    return min(max(psi_d, -PSI_D_LIMIT), PSI_D_LIMIT)
+        st.integrator = integral
+        psi_d = k_p * r_e + k_i * integral
+        if psi_d > psi_d_hi:
+            psi_d = psi_d_hi
+        elif psi_d < psi_d_lo:
+            psi_d = psi_d_lo
+        # psi_d = wrap_angle(heading + psi_d); u_psi = k_p_psi * wrap_angle(psi_d - psi)
+        a = fmod(heading + psi_d + pi, two_pi)
+        if a <= 0.0:
+            a += two_pi
+        psi_d = a - pi
+        a = fmod(psi_d - psi + pi, two_pi)
+        if a <= 0.0:
+            a += two_pi
+        u_psi = k_p_psi * (a - pi)
+        u_l, u_r = u_v + u_psi, u_v - u_psi
+        return (u_max if u_l > u_max else 0.0 if u_l < 0.0 else u_l,
+                u_max if u_r > u_max else 0.0 if u_r < 0.0 else u_r)
+
+    return step
 
 
-def heading_step(cfg: ControlConfig, psi_d: float, psi: float) -> float:
-    """Proportional heading law on the wrapped heading error."""
-    return cfg.k_p_psi * wrap_angle(psi_d - psi)
-
-
-def actuator_mapping(cfg: ControlConfig, u_v: float, u_psi: float) -> tuple[float, float]:
-    """Split the steering input across the two channels with saturation."""
-    u_l = min(max(u_v + u_psi, 0.0), cfg.u_max)
-    u_r = min(max(u_v - u_psi, 0.0), cfg.u_max)
-    return u_l, u_r
-
-
-def tick(
-    cfg: ControlConfig,
-    path: ReferencePath,
-    st: ControllerState,
-    r1: float,
-    r2: float,
-    psi: float,
-    dt: float,
-) -> tuple[float, float]:
-    """One control tick: LPC -> heading controller -> actuator mapping.
-
-    Returns the channel duty cycles (u_l, u_r). The LPC correction is applied
-    about the active segment's nominal heading, signed so that a positive
-    body-left cross-track error steers left. For the rectilinear path
-    (heading 0, lateral axis 2) this reduces to the bare PI law on r_e,2.
-    """
-    r_e = lateral_error(path, st, r1, r2)
-    seg = path.segments[st.active_segment]
-    psi_d = wrap_angle(seg.heading + lpc_step(cfg, st, seg.left_normal_sign * r_e, dt))
-    return actuator_mapping(cfg, cfg.u_v, heading_step(cfg, psi_d, psi))
-
-
-def closed_loop_tick(
-    cfg: ControlConfig,
-    path: ReferencePath,
-    st: ControllerState,
-    r1: float,
-    r2: float,
-    psi: float,
-    dt: float,
-) -> ExcitationCommand:
-    """One control tick as an excitation command; see tick."""
-    u_l, u_r = tick(cfg, path, st, r1, r2, psi, dt)
+def closed_loop_tick(cfg: ControlConfig, path: ReferencePath, st: ControllerState,
+                     r1: float, r2: float, psi: float, dt: float) -> ExcitationCommand:
+    """One control tick (controller bound for it) as an excitation command."""
+    u_l, u_r = controller(cfg, path, dt)(st, r1, r2, psi)
     return ExcitationCommand(freq=cfg.freq, dc_left=u_l, dc_right=u_r)

@@ -17,6 +17,7 @@ import configparser
 import functools
 import json
 import math
+import platform
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .actuator import (
     average_power,
     default_excursion_table,
 )
-from .control import ControlConfig, ControllerState, ReferencePath, tick
+from .control import ControlConfig, ControllerState, ReferencePath, controller
 from .errors import CalibrationRangeError
 from .hydro import FluidEnv, PlateMotion, simulate_cycle
 from .metrics import (
@@ -44,7 +45,7 @@ from .metrics import (
     swim_number,
     trajectory_stats,
 )
-from .plant import CalibrationSlice, PlantCalibration, advance, observation_noise, observe, rates
+from .plant import CalibrationSlice, PlantCalibration, integrator, observation_noise, observe, rates
 from .planform import (
     NEW_DESIGN_RDF_HEAD,
     NEW_DESIGN_RDF_TAIL,
@@ -192,6 +193,14 @@ def _write_csv(path: Path, header: str, row_format: str, rows) -> None:
         f.writelines(map((row_format + "\r\n").__mod__, rows))
 
 
+@functools.cache
+def _environment() -> dict:
+    """The versions and platform a run's output bytes depend on (libm rounding,
+    Generator streams), for manifest.json."""
+    return dict(python=platform.python_version(), numpy=np.__version__,
+                machine=platform.machine())
+
+
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summary: dict,
                     counters: dict | None = None):
     """Write config snapshot and manifest; the manifest lands last (atomic-ish)."""
@@ -199,7 +208,7 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summ
     snap.write_text(json.dumps(cfg.snapshot(), indent=2, sort_keys=True) + "\n")
     manifest = dict(
         version=__version__, kind=cfg.kind, seed=cfg.seed,
-        files=sorted(files + ["config.snapshot.json"]), summary=summary,
+        files=sorted(files + ["config.snapshot.json"]), summary=summary, **_environment(),
     )
     if counters is not None:
         manifest["counters"] = counters
@@ -289,14 +298,16 @@ def _tick_grid(cfg: ExperimentConfig) -> tuple[int, float]:
 
 def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: Path,
                       rng: np.random.Generator, cal: CalibrationSlice) -> TrackingResult:
-    """One closed-loop run on plain floats: observe -> tick -> rates -> log ->
-    advance, then the divergence check, per control tick."""
+    """One closed-loop run on plain floats: observe -> control -> rates -> log
+    -> advance, then the divergence check, per control tick. The controller and
+    the plant integrator are bound to the run's settings once, before the first
+    tick."""
     cc = cfg.control
     n_ticks, dt_tick = _tick_grid(cfg)
     substeps = max(1, round(dt_tick / PLANT_SUBSTEP_S))
-    dt_sub = dt_tick / substeps
-    tau, abort_m = cfg.response_time, cfg.abort_error_m
-    u_max = cc.u_max
+    abort_m, u_max = cfg.abort_error_m, cc.u_max
+    control = controller(cc, path_obj, dt_tick)
+    advance = integrator(dt_tick / substeps, substeps, cfg.response_time)
     segments = path_obj.segments
 
     r1 = r2 = psi = v = w = 0.0
@@ -314,7 +325,7 @@ def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: 
     for k, noise in enumerate(noises):
         t = k * dt_tick
         r1_o, r2_o, psi_o = observe(r1, r2, psi, noise)
-        u_l, u_r = tick(cc, path_obj, ctrl, r1_o, r2_o, psi_o, dt_tick)
+        u_l, u_r = control(ctrl, r1_o, r2_o, psi_o)
         mode, v_cmd, w_cmd = rates(cal, u_l, u_r)
         log_t(t)
         log_r1(r1)
@@ -324,7 +335,7 @@ def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: 
         log_w(w)
         log_ul(u_l)
         log_ur(u_r)
-        r1, r2, psi, v, w = advance(r1, r2, psi, v, w, v_cmd, w_cmd, dt_sub, substeps, tau)
+        r1, r2, psi, v, w = advance(r1, r2, psi, v, w, v_cmd, w_cmd)
         modes[mode] += 1
         if u_l >= u_max:
             sat_l += 1
@@ -553,10 +564,14 @@ def cli_main(argv=None) -> int:
         given = {k: v for k, v in given.items() if v is not None}
         given.update(
             kind=CLI_KINDS[args.command, getattr(args, "which", getattr(args, "maneuver", None))])
-        cfg = (
-            ExperimentConfig.from_file(args.config, **given) if args.config
-            else ExperimentConfig(**given)
-        )
+        if args.config:
+            try:
+                cfg = ExperimentConfig.from_file(args.config, **given)
+            except OSError as e:  # the OS cannot open or read the config
+                print(f"error: {e}", file=sys.stderr)
+                return 1
+        else:
+            cfg = ExperimentConfig(**given)
         out = RUNNERS[cfg.kind][0](cfg)
         if args.command != "track":
             print(out)

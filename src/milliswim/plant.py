@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .actuator import BIMORPH, IDLE, UNIMORPH_LEFT, UNIMORPH_RIGHT, Mode, mode_of
+from .actuator import BIMORPH, IDLE, MIXED, UNIMORPH_LEFT, UNIMORPH_RIGHT, Mode
 from .errors import CalibrationRangeError
 from .tables import BilinearTable
 
@@ -115,22 +115,22 @@ def rates(cal: CalibrationSlice, dc_l: float, dc_r: float) -> tuple[Mode, float,
     """Drive mode and steady-state (v m/s, omega rad/s) of a duty-cycle pair,
     at the frequency cal was bound to (PlantCalibration.at).
 
+    The mode is actuator.mode_of's, its tests made here in the same order.
     Bimorph: calibrated forward speed, zero yaw rate. Unimorph: calibrated
     turn rate with forward speed omega * nominal radius. Mixed: speed from the
     mean duty cycle, yaw rate scaled from the dominant channel's unimorph rate
     by the duty-cycle asymmetry.
     """
-    mode = mode_of(dc_l, dc_r)
-    if mode is IDLE:
-        return mode, 0.0, 0.0
-    if mode is BIMORPH:
-        return mode, cal.speed_map(dc_l) * 1e-3, 0.0
-    if mode is UNIMORPH_LEFT:
+    if dc_l == 0.0 and dc_r == 0.0:
+        return IDLE, 0.0, 0.0
+    if dc_l == dc_r:
+        return BIMORPH, cal.speed_map(dc_l) * 1e-3, 0.0
+    if dc_r == 0.0:
         w = cal.turn_map_left(dc_l) * DEG
-        return mode, abs(w) * cal.turn_radius_left, w
-    if mode is UNIMORPH_RIGHT:
+        return UNIMORPH_LEFT, abs(w) * cal.turn_radius_left, w
+    if dc_l == 0.0:
         w = cal.turn_map_right(dc_r) * DEG
-        return mode, abs(w) * cal.turn_radius_right, w
+        return UNIMORPH_RIGHT, abs(w) * cal.turn_radius_right, w
     # mixed: linear blend by duty-cycle asymmetry, saturating at the
     # unimorph endpoints
     asym = (dc_l - dc_r) / (dc_l + dc_r)
@@ -140,42 +140,52 @@ def rates(cal: CalibrationSlice, dc_l: float, dc_r: float) -> tuple[Mode, float,
     else:
         w = -asym * cal.turn_map_right(dc_dom) * DEG
     v = cal.speed_map(0.5 * (dc_l + dc_r)) * 1e-3
-    return mode, v, w
+    return MIXED, v, w
 
 
-def advance(
-    r1: float, r2: float, psi: float, v: float, w: float,
-    v_cmd: float, w_cmd: float, dt: float, n: int, response_time: float,
-) -> tuple[float, float, float, float, float]:
-    """Advance the pose (r1, r2, psi) and rates (v, w) by n steps of dt with
-    constant commanded rates.
+def integrator(
+    dt: float, n: int, response_time: float
+) -> Callable[..., tuple[float, float, float, float, float]]:
+    """The plant's motion over n sub-steps of dt:
+    advance(r1, r2, psi, v, w, v_cmd, w_cmd) -> (r1, r2, psi, v, w), the pose
+    and rates after n steps with constant commanded rates.
 
-    Per step, rates relax first-order toward the commands (exact
-    discretization); the pose then follows a constant-rate arc, which keeps
-    constant-command trajectories exactly circular. psi is wrapped once per
-    step, from the raw psi + w*dt, as a SwimmerState built from it would be
-    (wrap_angle is not the identity on (-pi, pi]: wrap_angle(1e-20) == 0.0).
+    Per step, rates relax first-order toward the commands with time constant
+    response_time (exact discretization; none when it is 0); the pose then
+    follows a constant-rate arc, which keeps constant-command trajectories
+    exactly circular. psi is wrapped once per step, from the raw psi + w*dt,
+    by wrap_angle's rule written inline, as a SwimmerState built from it would
+    be (the wrap is not the identity on (-pi, pi]: wrap_angle(1e-20) == 0.0).
+    dt is checked and the lag factor computed once, here.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     blend = 1.0 - math.exp(-dt / response_time) if response_time > 0 else None
-    sin, cos = math.sin, math.cos
-    for _ in range(n):
-        if blend is not None:
-            v = v + (v_cmd - v) * blend
-            w = w + (w_cmd - w) * blend
-        else:
-            v, w = v_cmd, w_cmd
-        psi1 = psi + w * dt
-        if abs(w) > 1e-12:
-            k = v / w
-            r1 = r1 + k * (sin(psi1) - sin(psi))
-            r2 = r2 - k * (cos(psi1) - cos(psi))
-        else:
-            r1 = r1 + v * cos(psi) * dt
-            r2 = r2 + v * sin(psi) * dt
-        psi = wrap_angle(psi1)
-    return r1, r2, psi, v, w
+    sin, cos, fmod, pi, two_pi = math.sin, math.cos, math.fmod, math.pi, 2.0 * math.pi
+    steps = range(n)
+
+    def advance(r1, r2, psi, v, w, v_cmd, w_cmd):
+        for _ in steps:
+            if blend is not None:
+                v = v + (v_cmd - v) * blend
+                w = w + (w_cmd - w) * blend
+            else:
+                v, w = v_cmd, w_cmd
+            psi1 = psi + w * dt
+            if abs(w) > 1e-12:
+                k = v / w
+                r1 = r1 + k * (sin(psi1) - sin(psi))
+                r2 = r2 - k * (cos(psi1) - cos(psi))
+            else:
+                r1 = r1 + v * cos(psi) * dt
+                r2 = r2 + v * sin(psi) * dt
+            psi = fmod(psi1 + pi, two_pi)
+            if psi <= 0.0:
+                psi += two_pi
+            psi -= pi
+        return r1, r2, psi, v, w
+
+    return advance
 
 
 def step(
@@ -185,13 +195,11 @@ def step(
     dt: float,
     response_time: float = 0.0,
 ) -> SwimmerState:
-    """Advance the pose by dt with commanded rates (one step of advance)."""
-    r1, r2, psi, v, w = advance(
-        state.r1, state.r2, state.psi, state.v, state.omega,
-        v_cmd, omega_cmd, dt, 1, response_time,
-    )
+    """Advance the pose by dt with commanded rates (one integrator step)."""
+    r1, r2, psi, v, w = integrator(dt, 1, response_time)(
+        state.r1, state.r2, state.psi, state.v, state.omega, v_cmd, omega_cmd)
     out = SwimmerState(r1=r1, r2=r2, v=v, omega=w)
-    object.__setattr__(out, "psi", psi)  # already wrapped by advance
+    object.__setattr__(out, "psi", psi)  # already wrapped by the integrator
     return out
 
 

@@ -97,10 +97,20 @@ class BilinearTable:
         outside it when called."""
         i, u = self._locate(self.freqs, freq, "freq")
         lo, hi = self.values[i], self.values[i + 1]
-        dcs, locate, a = self.dcs, self._locate, 1 - u
+        dcs, a = self.dcs, 1 - u
+        first, last, top = dcs[0], dcs[-1], len(dcs) - 1
+        bisect_right = bisect.bisect_right
 
         def value(dc: float) -> float:
-            j, w = locate(dcs, dc, "dc")
+            # _locate(dcs, dc, "dc"), written inline
+            if not (first <= dc <= last):
+                raise CalibrationRangeError(
+                    f"dc={dc:g} outside calibration range [{first:g}, {last:g}]")
+            j = bisect_right(dcs, dc) - 1
+            if j == top:  # exactly on the upper edge
+                j, w = j - 1, 1.0
+            else:
+                w = (dc - dcs[j]) / (dcs[j + 1] - dcs[j])
             b = 1 - w
             return lo[j] * a * b + hi[j] * u * b + lo[j + 1] * a * w + hi[j + 1] * u * w
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from milliswim.actuator import Mode, mode_of
 from milliswim.control import (
@@ -11,13 +12,12 @@ from milliswim.control import (
     ControllerState,
     PathSegment,
     ReferencePath,
-    actuator_mapping,
     closed_loop_tick,
-    heading_step,
-    lateral_error,
-    lpc_step,
-    tick,
+    controller,
 )
+from milliswim.harness import TRACK_PATHS
+
+from control_reference import actuator_mapping, heading_step, lateral_error, lpc_step, tick
 
 CFG = ControlConfig()
 DT = 1.0 / CFG.loop_rate
@@ -209,6 +209,67 @@ class TestClosedLoopTick:
             )
             assert 0.0 <= cmd.dc_left <= 0.22
             assert 0.0 <= cmd.dc_right <= 0.22
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def bound_and_reference(gains, duty, dt, kind, integrator, first_segment, poses):
+    """Run the bound controller and the reference tick side by side over
+    poses, from the same ControllerState on the first or last segment of a
+    TRACK_PATHS path; require bit-equal duty cycles and states after every
+    tick. Returns the config, the duty pairs and the final state."""
+    cfg = ControlConfig(*gains, u_v=min(duty), u_max=max(duty))
+    path = TRACK_PATHS[kind]
+    segment = 0 if first_segment else len(path.segments) - 1
+    step = controller(cfg, path, dt)
+    a, b = ControllerState(integrator, segment), ControllerState(integrator, segment)
+    duties = []
+    for pose in poses:
+        u = step(a, *pose)
+        want = tick(cfg, path, b, *pose, dt)
+        assert [x.hex() for x in u] == [x.hex() for x in want]
+        assert (a.integrator.hex(), a.active_segment, a.integrator_clamps) == (
+            b.integrator.hex(), b.active_segment, b.integrator_clamps)
+        duties.append(u)
+    return cfg, duties, a
+
+
+# A left turn crossing its corner from an integrator beyond the tight bound of
+# k_i = 400, with the heading a radian right of +n1 and then far from the
+# corner leg's +n2: integrator clamps, a segment switch and saturated channels.
+SWITCH_CLAMP_SATURATE = dict(
+    gains=(3.0, 400.0, 2.0), duty=(0.11, 0.22), dt=DT, kind="track_left", integrator=-0.01,
+    first_segment=True, poses=[(0.01 * i, 0.004, -1.0) for i in range(10)],
+)
+
+
+class TestBoundController:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gains=st.tuples(*[st.one_of(st.just(0.0), finite(0.0, 1e3))] * 3),
+        duty=st.tuples(finite(1e-3, 1.0), finite(1e-3, 1.0)),
+        dt=finite(1e-4, 1.0),
+        kind=st.sampled_from(sorted(TRACK_PATHS)),
+        integrator=finite(-1.0, 1.0),
+        first_segment=st.booleans(),
+        poses=st.lists(st.tuples(finite(-0.2, 0.2), finite(-0.2, 0.2), finite(-7.0, 7.0)),
+                       min_size=1, max_size=40),
+    )
+    @example(**SWITCH_CLAMP_SATURATE)
+    def test_bound_controller_is_the_reference_tick(self, **case):
+        bound_and_reference(**case)
+
+    def test_example_switches_clamps_and_saturates(self):
+        cfg, duties, state = bound_and_reference(**SWITCH_CLAMP_SATURATE)
+        assert state.active_segment == 1
+        assert state.integrator_clamps > 0
+        assert any(cfg.u_max in u for u in duties)
+
+    def test_dt_checked_when_bound(self):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            controller(CFG, ReferencePath.rectilinear(), 0.0)
 
 
 class TestConfigValidation:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from milliswim import harness
 from milliswim.actuator import Mode, default_excursion_table, mode_of
-from milliswim.control import ControlConfig, ControllerState, ReferencePath, closed_loop_tick
+from milliswim.control import ControlConfig, ControllerState, ReferencePath
 from milliswim.errors import CalibrationRangeError
 from milliswim.harness import (
     CLI_KINDS,
@@ -33,6 +34,8 @@ from milliswim.harness import (
 from milliswim.hydro import FluidEnv
 from milliswim.plant import PlantCalibration, SwimmerState, observe, rates, step
 from milliswim.tables import BilinearTable
+
+from control_reference import tick
 
 # sha256 of the sweep and cycle CSVs of `milliswim --seed 7 sweep ...|cycle`.
 PINNED_SHA256 = {
@@ -162,6 +165,14 @@ class TestExcursionSweep:
         assert "excursion_sweep.csv" in manifest["files"]
         assert (out / "config.snapshot.json").exists()
 
+    def test_manifest_names_the_environment(self, tmp_path):
+        out = run_excursion_sweep(cfg_for(tmp_path, "excursion_sweep")).parent
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["python"], manifest["numpy"], manifest["machine"]) == (
+            platform.python_version(), np.__version__, platform.machine())
+        # the data and the config snapshot do not carry them
+        assert "numpy" not in (out / "config.snapshot.json").read_text()
+
 
 class TestSpeedAndTurnSweeps:
     def test_speed_measured_cell(self, tmp_path):
@@ -249,11 +260,11 @@ class TestPinnedTracking:
 
 
 def object_api_run(cfg, path):
-    """The tracking loop written with the object API (SwimmerState,
-    closed_loop_tick, step) around observe, rates and mode_of, with one
-    rng.normal(size=3) call per noisy tick: the reference for the log rows and
-    counters of run_tracking."""
-    cal = PlantCalibration.default()
+    """The tracking loop written with the object API (SwimmerState, step)
+    around observe, rates, mode_of and the decomposed reference tick, with
+    one rng.normal(size=3) call per noisy tick: the reference for the log rows
+    and counters of run_tracking."""
+    cal = PlantCalibration.default().at(cfg.control.freq)
     rng = np.random.default_rng(cfg.seed)
     dt = 1.0 / cfg.control.loop_rate
     state, ctrl = SwimmerState(), ControllerState()
@@ -263,15 +274,14 @@ def object_api_run(cfg, path):
         seg_before = ctrl.active_segment
         noise = rng.normal(0.0, cfg.noise_sigma, size=3).tolist() if cfg.noise_sigma else None
         pose = observe(state.r1, state.r2, state.psi, noise)
-        cmd = closed_loop_tick(cfg.control, path, ctrl, *pose, dt)
-        _, v_cmd, w_cmd = rates(cal.at(cmd.freq), cmd.dc_left, cmd.dc_right)
-        rows.append((k * dt, state.r1, state.r2, state.psi, state.v, state.omega,
-                     cmd.dc_left, cmd.dc_right))
+        u_l, u_r = tick(cfg.control, path, ctrl, *pose, dt)
+        _, v_cmd, w_cmd = rates(cal, u_l, u_r)
+        rows.append((k * dt, state.r1, state.r2, state.psi, state.v, state.omega, u_l, u_r))
         for _ in range(4):
             state = step(state, v_cmd, w_cmd, dt / 4, response_time=cfg.response_time)
-        modes[mode_of(cmd.dc_left, cmd.dc_right).value] += 1
-        sat["left"] += cmd.dc_left >= cfg.control.u_max
-        sat["right"] += cmd.dc_right >= cfg.control.u_max
+        modes[mode_of(u_l, u_r).value] += 1
+        sat["left"] += u_l >= cfg.control.u_max
+        sat["right"] += u_r >= cfg.control.u_max
         if ctrl.active_segment != seg_before:
             switches.append(k * dt)
         seg = path.segments[ctrl.active_segment]
@@ -579,15 +589,23 @@ class TestCli:
     def test_bad_config_exit_1(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "missing.ini"), "cycle"]) == 1
 
-    @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["missing", "directory"])
+    # each makes the config path p, f<suffix>/x<suffix>, unreadable
+    @pytest.mark.parametrize("make", [
+        lambda p: p.parent.mkdir(),            # no such file
+        lambda p: p.mkdir(parents=True),       # a directory
+        lambda p: p.parent.touch(),            # f<suffix> is a regular file
+    ], ids=["missing", "directory", "not-a-directory"])
     def test_unreadable_ini_reports_the_os_error(self, tmp_path, capsys, make):
-        path, out = tmp_path / "exp.ini", tmp_path / "run"
-        make(path)
-        with pytest.raises(OSError) as expected:
-            open(path)
-        assert cli_main(["--config", str(path), "--out", str(out), "cycle"]) == 1
-        assert capsys.readouterr().err == f"error: {expected.value}\n"
-        assert not out.exists()
+        for suffix in (".ini", ".json"):  # an INI file and a config snapshot
+            path = tmp_path / suffix[1:] / f"f{suffix}" / f"x{suffix}"
+            out = tmp_path / suffix[1:] / "run"
+            path.parent.parent.mkdir()
+            make(path)
+            with pytest.raises(OSError) as expected:
+                open(path)
+            assert cli_main(["--config", str(path), "--out", str(out), "cycle"]) == 1
+            assert capsys.readouterr().err == f"error: {expected.value}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("name", ["exp.ini", "config.snapshot.json"])
     def test_config_directory_exit_1(self, tmp_path, capsys, name):

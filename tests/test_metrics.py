@@ -6,7 +6,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from milliswim.control import ControllerState, PathSegment, ReferencePath, lateral_error
+from milliswim.control import ControllerState, PathSegment, ReferencePath
 from milliswim.errors import DomainError
 from milliswim.harness import cli_main
 from milliswim.metrics import (
@@ -19,6 +19,8 @@ from milliswim.metrics import (
     swim_number,
     trajectory_stats,
 )
+
+from control_reference import lateral_error
 
 SPEC = SwimmerSpec()
 DEG = math.pi / 180.0

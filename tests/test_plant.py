@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milliswim.actuator import mode_of
 from milliswim.errors import CalibrationRangeError
@@ -12,7 +13,7 @@ from milliswim.plant import (
     CalibrationSlice,
     PlantCalibration,
     SwimmerState,
-    advance,
+    integrator,
     observation_noise,
     observe,
     rates,
@@ -274,7 +275,7 @@ class TestObservationNoise:
 
 def reference_step(state, v_cmd, omega_cmd, dt, response_time):
     """One exact-arc step through SwimmerState, whose constructor wraps psi:
-    the object form that advance must reproduce bit for bit."""
+    the object form that the integrator must reproduce bit for bit."""
     if response_time > 0:
         blend = 1.0 - math.exp(-dt / response_time)
         v = state.v + (v_cmd - state.v) * blend
@@ -296,7 +297,7 @@ def bits(*xs):
 
 
 class TestFloatKernels:
-    """advance matches chained SwimmerState steps, and step, bit for bit."""
+    """The integrator matches chained SwimmerState steps, and step, bit for bit."""
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_advance_matches_chained_steps(self, tau):
@@ -309,12 +310,41 @@ class TestFloatKernels:
             ref = s
             for _ in range(4):
                 ref = reference_step(ref, v_cmd, w_cmd, 1e-3, tau)
-            got = advance(s.r1, s.r2, s.psi, s.v, s.omega, v_cmd, w_cmd, 1e-3, 4, tau)
+            got = integrator(1e-3, 4, tau)(s.r1, s.r2, s.psi, s.v, s.omega, v_cmd, w_cmd)
             assert bits(*got) == bits(ref.r1, ref.r2, ref.psi, ref.v, ref.omega)
             one = step(s, v_cmd, w_cmd, 1e-3, response_time=tau)
             ref1 = reference_step(s, v_cmd, w_cmd, 1e-3, tau)
             assert bits(one.r1, one.r2, one.psi, one.v, one.omega) == bits(
                 ref1.r1, ref1.r2, ref1.psi, ref1.v, ref1.omega)
+
+    @pytest.mark.parametrize("psi, w, dt", [
+        (math.pi, 0.0, 1e-3),                      # +pi stays +pi
+        (-math.pi, 0.0, 1e-3),                     # -pi wraps to +pi
+        (math.pi - 1e-4, 0.5, 1e-3),               # crosses +pi
+        (-math.pi + 1e-4, -0.5, 1e-3),             # crosses -pi
+        (1e-20, 0.0, 1e-3),                        # wraps to 0.0, not 1e-20
+        (-1e-20, 0.0, 1e-3),
+        (0.0, 1e-17, 1e-3),                        # psi + w*dt == 1e-20
+        (3.0, 2.0, 0.25),
+        (-3.0, -40.0, 0.5),                        # several turns in one step
+    ])
+    def test_substep_psi_is_wrap_angle(self, psi, w, dt):
+        # tau = 0: the rate is the command from the first step
+        got = integrator(dt, 1, 0.0)(0.0, 0.0, psi, 0.0, w, 0.0, w)[2]
+        assert got.hex() == wrap_angle(psi + w * dt).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(psi=st.floats(-math.pi, math.pi), w=st.floats(-50.0, 50.0),
+           dt=st.floats(1e-6, 1.0), tau=st.sampled_from([0.0, 0.5]))
+    def test_substep_psi_is_wrap_angle_drawn(self, psi, w, dt, tau):
+        # the first step's rate: the command itself, or the lag's blend toward it
+        advance = integrator(dt, 1, tau)
+        _, _, got, _, w1 = advance(0.0, 0.0, psi, 0.0, 0.0, 0.01, w)
+        assert got.hex() == wrap_angle(psi + w1 * dt).hex()
+
+    def test_integrator_rejects_dt(self):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrator(0.0, 4, 0.5)
 
 
 def write_grid(path, side_values):
