@@ -35,7 +35,7 @@ from .actuator import (
 )
 from .control import ControlConfig, ControllerState, ReferencePath, controller
 from .errors import CalibrationRangeError
-from .hydro import FluidEnv, PlateMotion, simulate_cycle
+from .hydro import MIN_CYCLE_STEPS, FluidEnv, PlateMotion, simulate_cycle
 from .metrics import (
     SwimmerSpec,
     cost_of_transport,
@@ -121,6 +121,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if not math.isfinite(self.cycle_tail_amp):
             raise ValueError("cycle_tail_amp must be finite")
+        if self.cycle_n_steps < MIN_CYCLE_STEPS:
+            raise ValueError(f"cycle_n_steps must be at least {MIN_CYCLE_STEPS}")
         if self.kind in TRACK_PATHS:
             if not math.isfinite(self.duration * self.control.loop_rate):
                 raise ValueError(f"duration {self.duration:g} s at {self.control.loop_rate:g} Hz"
@@ -201,6 +203,17 @@ def _environment() -> dict:
                 machine=platform.machine())
 
 
+def _run_dir(cfg: ExperimentConfig) -> Path:
+    """Make the run's output directory. Runners call this after their config
+    checks and before any compute or write, so the OS refusing the directory
+    (a parent that is a regular file, no permission) is an input error."""
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ValueError(f"output directory: {e}") from None
+    return cfg.output_dir
+
+
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summary: dict,
                     counters: dict | None = None):
     """Write config snapshot and manifest; the manifest lands last (atomic-ish)."""
@@ -234,8 +247,7 @@ def _nodes(table, max_dc: float = math.inf) -> list[tuple[int, float, int, float
 
 def _write_sweep(cfg: ExperimentConfig, name: str, header: str, row_format: str,
                  rows: list) -> Path:
-    """Make the output directory, write the sweep CSV and then the manifest."""
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    """Write the sweep CSV and then the manifest into the run directory."""
     path = cfg.output_dir / name
     _write_csv(path, header, row_format, rows)
     _write_manifest(cfg.output_dir, cfg, [name], {"rows": len(rows)})
@@ -244,6 +256,7 @@ def _write_sweep(cfg: ExperimentConfig, name: str, header: str, row_format: str,
 
 def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
     """Excursion sweep over the excursion table's nodes; one row per (f, DC)."""
+    _run_dir(cfg)
     cal, table = _calibration()
     rows = []
     for i, fr, j, dc in _nodes(table):
@@ -257,6 +270,7 @@ def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
 
 
 def run_speed_sweep(cfg: ExperimentConfig) -> Path:
+    _run_dir(cfg)
     speed = _calibration()[0].speed_map
     rows = [(fr, dc, speed.values[i][j], speed.provenance[i][j])
             for i, fr, j, dc in _nodes(speed, SPEED_SWEEP_MAX_DC)]
@@ -265,6 +279,7 @@ def run_speed_sweep(cfg: ExperimentConfig) -> Path:
 
 
 def run_turn_sweep(cfg: ExperimentConfig) -> Path:
+    _run_dir(cfg)
     cal = _calibration()[0]
     rows = [(fr, dc, side, table.values[i][j], table.provenance[i][j])
             for side, table in (("left", cal.turn_map_left), ("right", cal.turn_map_right))
@@ -405,9 +420,8 @@ def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
         raise ValueError(f"{cfg.kind!r} is not a tracking experiment")
     cal = _calibration()[0]
     cal_f = check_reachable_lookups(cfg.control, cal)
+    out = _run_dir(cfg)
     rng = np.random.default_rng(cfg.seed)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     path_obj = TRACK_PATHS[cfg.kind]
     results = [_run_one_tracking(cfg, path_obj, out / f"trajectory_{rep + 1}.csv", rng, cal_f)
                for rep in range(cfg.repeats)]
@@ -422,13 +436,12 @@ def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
 
 def run_constrained_cycle(cfg: ExperimentConfig) -> Path:
     """Head-fixed-frame cycle simulation with prescribed sinusoidal tail motion."""
+    out = _run_dir(cfg)
     motion = PlateMotion.sinusoid(cfg.cycle_tail_amp, cfg.cycle_freq)
     rdfs = rdf_report_from_constants(cfg.cycle_i_head, cfg.cycle_i_tail)
     res = simulate_cycle(
         cfg.fluid, None, None, motion, rdfs=rdfs, n_steps=cfg.cycle_n_steps
     )
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "cycle.csv"
     cols = (res.t, res.omega_h, res.omega_t, res.tau_rh, res.tau_rt, res.tau_b)
     _write_csv(path, "t_s,omega_h,omega_t,tau_rh,tau_rt,tau_b", ",".join(["%.10g"] * 6),

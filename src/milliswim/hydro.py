@@ -31,6 +31,7 @@ MM5_TO_M5 = 1e-15
 # the tail rate scale
 SETTLE_REL_TOL = 1e-10
 MAX_PERIODS = 200  # simulate_cycle's ConvergenceError bound
+MIN_CYCLE_STEPS = 100  # simulate_cycle's least RK4 steps per period
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,8 @@ def simulate_cycle(
     SETTLE_REL_TOL relative to the tail rate scale sqrt(<w_t^2>), and
     ConvergenceError is raised if it has not within MAX_PERIODS periods.
     """
-    if n_steps < 100:
-        raise ValueError("n_steps must be at least 100 per period")
+    if n_steps < MIN_CYCLE_STEPS:
+        raise ValueError(f"n_steps must be at least {MIN_CYCLE_STEPS} per period")
     if rdfs is None:
         if head is None or tail is None:
             raise ValueError("either planforms or an RdfReport must be provided")
@@ -165,60 +166,69 @@ def simulate_cycle(
     mean_sq_t = tail_motion.mean_square()
     if yaw_inertia is None:
         yaw_inertia = default_yaw_inertia(env, rdfs, period, mean_sq_t)
-    if yaw_inertia <= 0:
-        raise ValueError("yaw_inertia must be positive")
+    if not 0 < yaw_inertia < math.inf:
+        raise ValueError(f"yaw_inertia must be finite and positive, got {yaw_inertia!r}")
 
     i_h = rdfs.i_head * MM5_TO_M5
     i_t = rdfs.i_tail * MM5_TO_M5
     half_rho_cd = 0.5 * env.rho * env.c_d
     dt = period / n_steps
+    half_dt = 0.5 * dt
     amp = tail_motion.amplitude
     w_tail = 2.0 * math.pi * tail_motion.freq
+    steps = np.arange(n_steps, dtype=float) * dt  # s * dt, the step offsets in a period
 
-    def rk4_step(t, w):
-        # slope = half_rho_cd * (w_t*|w_t|*i_t - w*|w|*i_h) / yaw_inertia;
-        # k2 and k3 share the midpoint tail rate
-        a = amp * math.sin(w_tail * t)
-        b = amp * math.sin(w_tail * (t + 0.5 * dt))
-        c = amp * math.sin(w_tail * (t + dt))
-        drive_a, drive_b, drive_c = a * abs(a) * i_t, b * abs(b) * i_t, c * abs(c) * i_t
-        k1 = half_rho_cd * (drive_a - w * abs(w) * i_h) / yaw_inertia
-        w2 = w + 0.5 * dt * k1
-        k2 = half_rho_cd * (drive_b - w2 * abs(w2) * i_h) / yaw_inertia
-        w3 = w + 0.5 * dt * k2
-        k3 = half_rho_cd * (drive_b - w3 * abs(w3) * i_h) / yaw_inertia
-        w4 = w + dt * k3
-        k4 = half_rho_cd * (drive_c - w4 * abs(w4) * i_h) / yaw_inertia
-        return w + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    def tail_rate(t):
+        # amp * sin(w_tail * t) per element, with libm's sin: numpy's own sin
+        # may dispatch to SIMD kernels whose rounding differs between CPUs
+        return amp * np.fromiter(map(math.sin, (w_tail * t).tolist()), float, n_steps)
+
+    def run_period(k, w, log=None):
+        """Advance the head rate w over period k by n_steps RK4 steps, passing
+        the rate at each step start to log if given; return the new rate, the
+        step times and the tail rate at them.
+
+        slope = half_rho_cd * (w_t*|w_t|*i_t - w*|w|*i_h) / yaw_inertia. The
+        tail drives w_t*|w_t|*i_t at the step start, midpoint (shared by k2 and
+        k3) and end are computed for the whole period before the loop.
+        """
+        t = k * period + steps
+        rate = tail_rate(t)
+        drives = [(x * np.abs(x) * i_t).tolist()
+                  for x in (rate, tail_rate(t + half_dt), tail_rate(t + dt))]
+        for drive_a, drive_b, drive_c in zip(*drives):
+            if log is not None:
+                log(w)
+            k1 = half_rho_cd * (drive_a - w * abs(w) * i_h) / yaw_inertia
+            w2 = w + half_dt * k1
+            k2 = half_rho_cd * (drive_b - w2 * abs(w2) * i_h) / yaw_inertia
+            w3 = w + half_dt * k2
+            k3 = half_rho_cd * (drive_b - w3 * abs(w3) * i_h) / yaw_inertia
+            w4 = w + dt * k3
+            k4 = half_rho_cd * (drive_c - w4 * abs(w4) * i_h) / yaw_inertia
+            # 2.0, not 2: the same products, without an int-to-float conversion
+            w = w + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        return w, t, rate
 
     scale = math.sqrt(mean_sq_t) or 1.0
     w = 0.0
-    converged_at = None
     for k in range(MAX_PERIODS):
         w_start = w
-        t0 = k * period
-        for s in range(n_steps):
-            w = rk4_step(t0 + s * dt, w)
+        w, _, _ = run_period(k, w)
         if abs(w - w_start) <= SETTLE_REL_TOL * scale:
-            converged_at = k + 1
             break
-    if converged_at is None:
+    else:
         raise ConvergenceError(
             f"head yaw did not reach a periodic steady state in {MAX_PERIODS} periods"
         )
 
-    # record one steady cycle
-    t_rec = np.empty(n_steps)
-    w_h = np.empty(n_steps)
-    w_t = np.empty(n_steps)
-    t0 = converged_at * period
-    for s in range(n_steps):
-        t = t0 + s * dt
-        t_rec[s] = t - t0
-        w_h[s] = w
-        w_t[s] = amp * math.sin(w_tail * t)
-        w = rk4_step(t, w)
+    converged_at = k + 1
 
+    # record one steady cycle
+    w_log = []
+    _, t, w_t = run_period(converged_at, w, w_log.append)
+    t_rec = t - converged_at * period
+    w_h = np.array(w_log)
     tau_rh = half_rho_cd * w_h * np.abs(w_h) * i_h
     tau_rt = half_rho_cd * w_t * np.abs(w_t) * i_t
     return CycleResult(

@@ -548,6 +548,34 @@ class TestCli:
         assert cli_main(["--out", str(tmp_path / "o"), "sweep", "speed"]) == 2
         assert capsys.readouterr().err == "runtime error: 'missing'\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["cycle"], ["sweep", "speed"], ["track", "line", "--duration", "2"]], ids="-".join)
+    @pytest.mark.parametrize("under", [("run",), ()], ids=["below-a-file", "a-file"])
+    def test_out_the_os_refuses_exit_1(self, tmp_path, capsys, monkeypatch, argv, under):
+        # the run directory is made before any compute: the cycle never runs
+        def no_cycle(*args, **kwargs):
+            raise AssertionError("simulated before making the run directory")
+        monkeypatch.setattr(harness, "simulate_cycle", no_cycle)
+        f = tmp_path / "f"
+        f.write_text("keep\n")
+        out = f.joinpath(*under)
+        with pytest.raises(OSError) as expected:
+            out.mkdir(parents=True, exist_ok=True)
+        assert cli_main(["--out", str(out), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: output directory: {expected.value}\n"
+        assert captured.out == ""
+        assert f.read_text() == "keep\n"
+
+    def test_write_failure_mid_run_exit_2(self, tmp_path, capsys, monkeypatch):
+        def full(path, *args):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(harness, "_write_csv", full)
+        out = tmp_path / "run"
+        assert cli_main(["--out", str(out), "cycle"]) == 2
+        assert capsys.readouterr().err == "runtime error: [Errno 28] No space left on device\n"
+        assert out.is_dir()
+
     def test_rdf_missing_args(self, capsys):
         assert cli_main(["rdf"]) == 1
 
@@ -631,6 +659,7 @@ class TestCli:
         ("", ["track", "right", "--duration", "0.01"]),
         ("[fluid]\nrho = nan\n", ["cycle"]),
         ("[cycle]\nfreq_hz = 0\n", ["cycle"]),
+        ("[cycle]\nn_steps = 99\n", ["cycle"]),
         ("[plant]\nresponse_time_s = -1\n", ["track", "line"]),
         ("[plant]\nresponse_time_s = nan\n", ["track", "line"]),
         ("[control]\nkp = nan\n", ["track", "line"]),
@@ -675,7 +704,7 @@ class TestCli:
     ], ids=["ini-duration", "repeats-0", "repeats-neg", "duration-nan", "duration-0",
             "duration-inf", "duration-ticks-inf", "ini-loop-hz-ticks-inf", "ini-repeats", "noise-neg", "noise-nan", "ini-noise-neg",
             "duration-under-a-tick", "duration-under-the-stats-window",
-            "rho-nan", "cycle-freq-0", "response-time-neg", "response-time-nan", "kp-nan",
+            "rho-nan", "cycle-freq-0", "cycle-n-steps-99", "response-time-neg", "response-time-nan", "kp-nan",
             "loop-hz-nan", "seed-neg", "no-section-header", "duplicate-option",
             "knots-too-close", "freq-below-turn-calibration", "uv-below-turn-calibration",
             "typo-key", "typo-section", "seed-not-int", "snapshot-seed-not-int",

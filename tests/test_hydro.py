@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cycle_reference
 from milliswim import hydro
 from milliswim.errors import ConvergenceError
 from milliswim.hydro import (
@@ -14,9 +16,15 @@ from milliswim.hydro import (
     reactive_torque,
     simulate_cycle,
 )
-from milliswim.planform import Planform, rdf_report_from_constants
+from milliswim.planform import (
+    OLD_DESIGN_RDF_HEAD,
+    OLD_DESIGN_RDF_TAIL,
+    Planform,
+    rdf_report_from_constants,
+)
 
 NEW_RDFS = rdf_report_from_constants(1.14e5, 1.07e4)
+OLD_RDFS = rdf_report_from_constants(OLD_DESIGN_RDF_HEAD, OLD_DESIGN_RDF_TAIL)
 
 
 class TestDragForcePerLength:
@@ -184,6 +192,54 @@ class TestSimulateCycle:
         with pytest.raises(ValueError):
             simulate_cycle(FluidEnv(), None, None, m, rdfs=NEW_RDFS, n_steps=50)
 
+    @pytest.mark.parametrize("inertia", [math.nan, math.inf, 0.0, -1e-9])
+    def test_rejects_non_finite_or_nonpositive_inertia(self, inertia):
+        # unchecked, a NaN runs all MAX_PERIODS periods into a ConvergenceError
+        # and an inf "converges" after one period with a still head
+        m = PlateMotion.sinusoid(1.0, 2.0)
+        with pytest.raises(ValueError, match="yaw_inertia must be finite and positive"):
+            simulate_cycle(FluidEnv(), None, None, m, rdfs=NEW_RDFS, yaw_inertia=inertia)
+
+
+def _outcome(fn, *args):
+    """The six CycleResult arrays' bytes and periods_to_converge, or the
+    ConvergenceError message."""
+    try:
+        res = fn(*args)
+    except ConvergenceError as e:
+        return str(e)
+    return [a.tobytes() for a in (res.t, res.omega_h, res.omega_t, res.tau_rh, res.tau_rt,
+                                  res.tau_b)] + [res.periods_to_converge]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    amp=st.sampled_from([0.0, -1.0, 1.0]).flatmap(
+        lambda sign: st.floats(0.05, 3.0).map(lambda a: sign * a)),
+    freq=st.floats(0.5, 5.0),
+    n_steps=st.integers(100, 3000),
+    inertia_factor=st.sampled_from([None, 10.0, 40.0]),
+    rdfs=st.sampled_from([NEW_RDFS, OLD_RDFS]),
+)
+def test_cycle_matches_the_per_step_reference(amp, freq, n_steps, inertia_factor, rdfs):
+    """The once-per-period drive reproduces the per-step RK4 bit for bit. Under
+    about 150 steps per period the default inertia is RK4-unstable, and both
+    must then raise the same ConvergenceError."""
+    env, m = FluidEnv(), PlateMotion(amp, freq)
+    inertia = None if inertia_factor is None else (
+        inertia_factor * default_yaw_inertia(env, rdfs, m.period, m.mean_square()))
+    args = (env, None, None, m, inertia, n_steps, rdfs)
+    assert _outcome(simulate_cycle, *args) == _outcome(cycle_reference.simulate_cycle, *args)
+
+
+def test_reference_and_cycle_fail_to_converge_alike(monkeypatch):
+    monkeypatch.setattr(hydro, "MAX_PERIODS", 3)
+    m = PlateMotion.sinusoid(1.0, 2.0)
+    env = FluidEnv()
+    slow = 6000.0 * default_yaw_inertia(env, NEW_RDFS, m.period, m.mean_square())
+    for fn in (simulate_cycle, cycle_reference.simulate_cycle):
+        with pytest.raises(ConvergenceError, match="in 3 periods"):
+            fn(env, None, None, m, rdfs=NEW_RDFS, yaw_inertia=slow)
 
 
 def _cycle_digest(res):
