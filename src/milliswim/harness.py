@@ -35,7 +35,7 @@ from .actuator import (
 )
 from .control import ControlConfig, ControllerState, ReferencePath, controller
 from .errors import CalibrationRangeError
-from .hydro import MIN_CYCLE_STEPS, FluidEnv, PlateMotion, simulate_cycle
+from .hydro import MIN_DEFAULT_INERTIA_STEPS, FluidEnv, PlateMotion, simulate_cycle
 from .metrics import (
     SwimmerSpec,
     cost_of_transport,
@@ -121,8 +121,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if not math.isfinite(self.cycle_tail_amp):
             raise ValueError("cycle_tail_amp must be finite")
-        if self.cycle_n_steps < MIN_CYCLE_STEPS:
-            raise ValueError(f"cycle_n_steps must be at least {MIN_CYCLE_STEPS}")
+        if self.cycle_n_steps < MIN_DEFAULT_INERTIA_STEPS:
+            raise ValueError(f"cycle_n_steps must be at least {MIN_DEFAULT_INERTIA_STEPS}, "
+                             "where the default yaw inertia settles")
         if self.kind in TRACK_PATHS:
             if not math.isfinite(self.duration * self.control.loop_rate):
                 raise ValueError(f"duration {self.duration:g} s at {self.control.loop_rate:g} Hz"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .planform import Planform, RdfReport, rdf_report, resistive_drag_factor
 
 MM5_TO_M5 = 1e-15
@@ -75,9 +75,13 @@ class PlateMotion:
 
 
 def reactive_torque(env: FluidEnv, p: Planform, omega: float) -> float:
-    """Total reactive torque on the plate, N*m: -0.5*rho*C_d*omega*|omega|*RDF."""
+    """Total reactive torque on the plate, N*m: -0.5*rho*C_d*omega*|omega|*RDF.
+    DomainError if the torque is not finite, as it is for every non-finite omega."""
     rdf_m5 = resistive_drag_factor(p) * MM5_TO_M5
-    return -0.5 * env.rho * env.c_d * omega * abs(omega) * rdf_m5
+    tau = -0.5 * env.rho * env.c_d * omega * abs(omega) * rdf_m5
+    if not math.isfinite(tau):
+        raise DomainError(f"reactive torque is not finite at omega={omega:g}")
+    return tau
 
 
 def balanced_head_amplitude(report: RdfReport, mean_sq_t: float) -> float:
@@ -119,6 +123,13 @@ class CycleResult:
     def torque_scale(self) -> float:
         """Cycle-mean reactive torque magnitude, for relative balance checks."""
         return float(np.mean(np.abs(self.tau_rt)))
+
+
+# The least RK4 steps per period a config may ask for: the cycle command runs
+# the default yaw inertia, whose head damping rate times the step, ~600/n_steps,
+# depends on n_steps alone, and the cycle does not settle below 146 steps per
+# period (measured for both design RDF pairs and several drives).
+MIN_DEFAULT_INERTIA_STEPS = 150
 
 
 def default_yaw_inertia(env: FluidEnv, rdfs: RdfReport, period: float, mean_sq_t: float) -> float:

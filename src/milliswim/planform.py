@@ -165,18 +165,6 @@ class RdfReport:
         return self.i_head / self.i_tail
 
 
-def _gauss3(f, a, b):
-    """3-point Gauss-Legendre estimate of the integral of f over [a, b], a < b."""
-    c, r = 0.5 * (a + b), 0.5 * (b - a)
-    # A panel narrower than sys.float_info.min (a few subnormals by the axis)
-    # gets one evaluation, at its midpoint c: its nodes c -+ d could round out
-    # of it, and out of the span. The integrand underflows to 0 there.
-    if r < 1.1125369292536007e-308:  # 0.5 * sys.float_info.min
-        return (b - a) * f(c)
-    d = r * _GAUSS_NODE
-    return r * (5.0 * f(c - d) + 8.0 * f(c) + 5.0 * f(c + d)) / 9.0
-
-
 def resistive_drag_factor(p: Planform) -> float:
     """RDF = integral of h(x)*|x|^3 dx over [-l1, l2], in mm^5.
 
@@ -184,17 +172,29 @@ def resistive_drag_factor(p: Planform) -> float:
     the axis, the integrand is a polynomial of degree <= 5, which one 3-point
     Gauss-Legendre panel integrates exactly. The nodes are interior, so neither
     the axis nor a span end is evaluated, bar the midpoint of a panel only
-    subnormals wide.
+    subnormals wide. The rule and the chord are written inline: no call per
+    panel or node.
     """
     panels = []
     for lo, hi, x0, h0, slope, curv in p.pieces:
-        def f(x):
-            u = x - x0
-            return (h0 + u * (slope + u * curv)) * abs(x) ** 3
-
         for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
             if a < b:
-                panels.append(_gauss3(f, a, b))
+                c, r = 0.5 * (a + b), 0.5 * (b - a)
+                u = c - x0
+                fc = (h0 + u * (slope + u * curv)) * abs(c) ** 3
+                # A panel narrower than sys.float_info.min (a few subnormals by
+                # the axis) gets one evaluation, at its midpoint c: its nodes
+                # c -+ d could round out of it, and out of the span. The
+                # integrand underflows to 0 there.
+                if r < 1.1125369292536007e-308:  # 0.5 * sys.float_info.min
+                    panels.append((b - a) * fc)
+                    continue
+                d = r * _GAUSS_NODE
+                u = c - d - x0
+                fa = (h0 + u * (slope + u * curv)) * abs(c - d) ** 3
+                u = c + d - x0
+                fb = (h0 + u * (slope + u * curv)) * abs(c + d) ** 3
+                panels.append(r * (5.0 * fa + 8.0 * fc + 5.0 * fb) / 9.0)
     rdf = math.fsum(panels)
     if not math.isfinite(rdf):
         raise DomainError(f"RDF is not finite: {rdf:g}")

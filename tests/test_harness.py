@@ -31,7 +31,7 @@ from milliswim.harness import (
     run_tracking,
     run_turn_sweep,
 )
-from milliswim.hydro import FluidEnv
+from milliswim.hydro import MIN_DEFAULT_INERTIA_STEPS, FluidEnv
 from milliswim.plant import PlantCalibration, SwimmerState, observe, rates, step
 from milliswim.tables import BilinearTable
 
@@ -354,7 +354,7 @@ def configs(draw):
         cycle_tail_amp=draw(finite(-1e3, 1e3)),
         cycle_i_head=draw(finite(1e-6, 1e12)),
         cycle_i_tail=draw(finite(1e-6, 1e12)),
-        cycle_n_steps=draw(st.integers(100, 10**6)),
+        cycle_n_steps=draw(st.integers(MIN_DEFAULT_INERTIA_STEPS, 10**6)),
     )
 
 
@@ -660,6 +660,7 @@ class TestCli:
         ("[fluid]\nrho = nan\n", ["cycle"]),
         ("[cycle]\nfreq_hz = 0\n", ["cycle"]),
         ("[cycle]\nn_steps = 99\n", ["cycle"]),
+        ("[cycle]\nn_steps = 149\n", ["cycle"]),
         ("[plant]\nresponse_time_s = -1\n", ["track", "line"]),
         ("[plant]\nresponse_time_s = nan\n", ["track", "line"]),
         ("[control]\nkp = nan\n", ["track", "line"]),
@@ -704,7 +705,8 @@ class TestCli:
     ], ids=["ini-duration", "repeats-0", "repeats-neg", "duration-nan", "duration-0",
             "duration-inf", "duration-ticks-inf", "ini-loop-hz-ticks-inf", "ini-repeats", "noise-neg", "noise-nan", "ini-noise-neg",
             "duration-under-a-tick", "duration-under-the-stats-window",
-            "rho-nan", "cycle-freq-0", "cycle-n-steps-99", "response-time-neg", "response-time-nan", "kp-nan",
+            "rho-nan", "cycle-freq-0", "cycle-n-steps-99",
+            "cycle-n-steps-149", "response-time-neg", "response-time-nan", "kp-nan",
             "loop-hz-nan", "seed-neg", "no-section-header", "duplicate-option",
             "knots-too-close", "freq-below-turn-calibration", "uv-below-turn-calibration",
             "typo-key", "typo-section", "seed-not-int", "snapshot-seed-not-int",
@@ -739,6 +741,14 @@ class TestCli:
         assert cli_main(["--config", str(ini), "--out", str(out1), "track", "line",
                          "--repeats", "1"]) == 0
         assert not (out1 / "trajectory_2.csv").exists()
+
+    def test_least_cycle_steps_run(self, tmp_path, capsys):
+        # 149 steps per period is an input error (test_invalid_final_config_exit_1);
+        # at 150 the default yaw inertia settles
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[cycle]\nn_steps = 150\n")
+        assert cli_main(["--config", str(ini), "--out", str(tmp_path / "c"), "cycle"]) == 0
+        assert (tmp_path / "c" / "cycle.csv").exists()
 
     def test_short_duration_allowed_for_other_kinds(self, tmp_path, capsys):
         # the tick and stats-window checks apply to tracking runs only

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import cycle_reference
 from milliswim import hydro
-from milliswim.errors import ConvergenceError
+from milliswim.errors import ConvergenceError, DomainError
 from milliswim.hydro import (
     FluidEnv,
     PlateMotion,
@@ -88,6 +89,13 @@ class TestReactiveTorque:
         p = Planform.parabola(8.0, 12.0)
         for w in np.linspace(-5.0, 5.0, 41):
             assert w * reactive_torque(env, p, w) <= 0.0
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 1e200],
+                             ids=["nan", "inf", "-inf", "overflow"])
+    def test_rejects_what_it_cannot_return(self, omega):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"reactive torque is not finite at omega={omega:g}")):
+            reactive_torque(FluidEnv(), Planform.parabola(8.0, 12.0), omega)
 
 
 class TestNetBodyTorque:

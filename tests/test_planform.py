@@ -3,11 +3,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import planform_reference
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from milliswim import planform
-from milliswim.errors import InvalidPlanformError
+from milliswim.errors import DomainError, InvalidPlanformError
 from milliswim.planform import (
     NEW_DESIGN_RDF_HEAD,
     NEW_DESIGN_RDF_TAIL,
@@ -60,9 +60,10 @@ def exact_parabola_rdf(height, root, l1):
 
 
 def counted_rdf(monkeypatch, p):
-    """resistive_drag_factor(p) and the x of every integrand evaluation it made."""
+    """The reference RDF of p, which resistive_drag_factor matches bit for bit
+    (TestMatchesReference), and the x of every integrand evaluation it made."""
     xs = []
-    real = planform._gauss3
+    real = planform_reference._gauss3
 
     def counting(f, a, b):
         def g(x):
@@ -71,8 +72,8 @@ def counted_rdf(monkeypatch, p):
 
         return real(g, a, b)
 
-    monkeypatch.setattr(planform, "_gauss3", counting)
-    return resistive_drag_factor(p), xs
+    monkeypatch.setattr(planform_reference, "_gauss3", counting)
+    return planform_reference.resistive_drag_factor(p), xs
 
 
 span_mm = st.floats(0.0, 25.0)
@@ -266,6 +267,47 @@ class TestChordEvaluationBudget:
         n_panels = len({-6.0, 0.0, 18.0, *xs}) - 1
         _, evals = counted_rdf(monkeypatch, p)
         assert len(evals) == 3 * n_panels
+
+
+class TestMatchesReference:
+    """The inline rule reproduces the per-panel _gauss3 and closure form kept
+    in tests/planform_reference.py bit for bit, or raises the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(builder_chords())
+    def test_builder_chords(self, case):
+        p, _ = case
+        assert resistive_drag_factor(p).hex() == planform_reference.resistive_drag_factor(p).hex()
+
+    @pytest.mark.parametrize("p", [
+        Planform.rectangle(3.0, 0.0, 7.0),
+        Planform.parabola(8.0, 12.0, 0.0),
+        Planform.tabulated([(0.0, 2.0), (4.0, 5.0), (9.0, 1.0)], 0.0, 9.0),
+        Planform.rectangle(3.0, 5.0, 0.0),
+        Planform.tabulated([(-9.0, 2.0), (-4.0, 5.0), (0.0, 1.0)], 9.0, 0.0),
+        Planform.rectangle(2.0, 5e-324, 1.0),
+        Planform.rectangle(2.0, 1e-320, 1.0),
+        Planform.parabola(1.0, 3.0, 5e-324),
+        Planform.parabola(7.5, 20.0, 1e-320),
+        Planform.parabola(4.0, 10.0, 14.0),
+        Planform.tabulated([(-9.0, 1.0), (-5.0, 2.0), (0.0, 6.0), (10.0, 0.0), (12.0, 1.0)],
+                           5.0, 10.0),
+        Planform.rectangle(1e300, 25.0, 25.0),
+    ], ids=["rectangle-l1-0", "parabola-l1-0", "tabulated-l1-0", "rectangle-l2-0",
+            "tabulated-l2-0", "rectangle-l1-5e-324", "rectangle-l1-1e-320",
+            "parabola-l1-5e-324", "parabola-l1-1e-320", "clipped-parabola",
+            "knots-beyond-span", "height-1e300"])
+    def test_edge_cases(self, p):
+        assert resistive_drag_factor(p).hex() == planform_reference.resistive_drag_factor(p).hex()
+
+    @pytest.mark.parametrize("p", [
+        Planform.rectangle(1e305, 25.0, 25.0), Planform.parabola(1e305, 25.0, 25.0),
+    ], ids=["rectangle", "parabola"])
+    def test_overflowing_chord_raises_alike(self, p):
+        # a height of 1e300 over 25 mm still has a finite RDF (about 2e305 mm^5)
+        for fn in (resistive_drag_factor, planform_reference.resistive_drag_factor):
+            with pytest.raises(DomainError, match=r"^RDF is not finite: inf$"):
+                fn(p)
 
 
 class TestPieces:
