@@ -34,6 +34,8 @@ from .actuator import (
     default_excursion_table,
 )
 from .control import ControlConfig, ControllerState, ReferencePath, controller
+from .csvlog import LOG_BLOCK, LogWriter
+from .csvlog import write_csv as _write_csv
 from .errors import CalibrationRangeError
 from .hydro import MIN_DEFAULT_INERTIA_STEPS, FluidEnv, PlateMotion, simulate_cycle
 from .metrics import (
@@ -188,14 +190,6 @@ class ExperimentConfig:
         return {**snap.pop("run"), **snap}
 
 
-def _write_csv(path: Path, header: str, row_format: str, rows) -> None:
-    """Write a data CSV: the header, then row_format % row per row, each line
-    ended by CRLF as csv.writer ends it. The formats fix every float's text."""
-    with open(path, "w", newline="") as f:
-        f.write(header + "\r\n")
-        f.writelines(map((row_format + "\r\n").__mod__, rows))
-
-
 @functools.cache
 def _environment() -> dict:
     """The versions and platform a run's output bytes depend on (libm rounding,
@@ -337,40 +331,44 @@ def _run_one_tracking(cfg: ExperimentConfig, path_obj: ReferencePath, log_path: 
     peak_err = 0.0
     failed = False
     noises = observation_noise(rng, cfg.noise_sigma, n_ticks)
+    block_end = LOG_BLOCK - 1  # the tick that fills a block of the log
 
-    for k, noise in enumerate(noises):
-        t = k * dt_tick
-        r1_o, r2_o, psi_o = observe(r1, r2, psi, noise)
-        u_l, u_r = control(ctrl, r1_o, r2_o, psi_o)
-        mode, v_cmd, w_cmd = rates(cal, u_l, u_r)
-        log_t(t)
-        log_r1(r1)
-        log_r2(r2)
-        log_psi(psi)
-        log_v(v)
-        log_w(w)
-        log_ul(u_l)
-        log_ur(u_r)
-        r1, r2, psi, v, w = advance(r1, r2, psi, v, w, v_cmd, w_cmd)
-        modes[mode] += 1
-        if u_l >= u_max:
-            sat_l += 1
-        if u_r >= u_max:
-            sat_r += 1
-        if ctrl.active_segment != seg_idx:
-            seg_idx = ctrl.active_segment
-            seg = segments[seg_idx]
-            switch_times.append(t)
-        err = abs(seg.target - (r1 if seg.lateral_axis == 1 else r2))
-        if err > peak_err:
-            peak_err = err
-        if err > abort_m:
-            failed = True
-            break
+    # a child interpreter formats each full block of the log while the ticks go on
+    with LogWriter(log_path, "t_s,r1_m,r2_m,psi_rad,v_mps,omega_radps,uL,uR",
+                   ",".join(["%.9g"] * 8), log) as writer:
+        for k, noise in enumerate(noises):
+            t = k * dt_tick
+            r1_o, r2_o, psi_o = observe(r1, r2, psi, noise)
+            u_l, u_r = control(ctrl, r1_o, r2_o, psi_o)
+            mode, v_cmd, w_cmd = rates(cal, u_l, u_r)
+            log_t(t)
+            log_r1(r1)
+            log_r2(r2)
+            log_psi(psi)
+            log_v(v)
+            log_w(w)
+            log_ul(u_l)
+            log_ur(u_r)
+            if k == block_end:
+                writer.send()
+                block_end += LOG_BLOCK
+            r1, r2, psi, v, w = advance(r1, r2, psi, v, w, v_cmd, w_cmd)
+            modes[mode] += 1
+            if u_l >= u_max:
+                sat_l += 1
+            if u_r >= u_max:
+                sat_r += 1
+            if ctrl.active_segment != seg_idx:
+                seg_idx = ctrl.active_segment
+                seg = segments[seg_idx]
+                switch_times.append(t)
+            err = abs(seg.target - (r1 if seg.lateral_axis == 1 else r2))
+            if err > peak_err:
+                peak_err = err
+            if err > abort_m:
+                failed = True
+                break
     noises.close()  # after an abort, leaves rng where per-tick draws would
-
-    _write_csv(log_path, "t_s,r1_m,r2_m,psi_rad,v_mps,omega_radps,uL,uR", ",".join(["%.9g"] * 8),
-               zip(*log))
 
     ticks = len(log[0])
     counters = {
@@ -522,6 +520,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_rdf(args) -> int:
+    if args.design and (args.head or args.tail):
+        print("rdf: --design takes no --head or --tail", file=sys.stderr)
+        return 1
     if args.design:
         if args.design == "new":
             report = rdf_report_from_constants(NEW_DESIGN_RDF_HEAD, NEW_DESIGN_RDF_TAIL)

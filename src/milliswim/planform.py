@@ -195,7 +195,10 @@ def resistive_drag_factor(p: Planform) -> float:
                 u = c + d - x0
                 fb = (h0 + u * (slope + u * curv)) * abs(c + d) ** 3
                 panels.append(r * (5.0 * fa + 8.0 * fc + 5.0 * fb) / 9.0)
-    rdf = math.fsum(panels)
+    try:
+        rdf = math.fsum(panels)
+    except OverflowError:  # finite panels whose sum is not
+        rdf = math.inf
     if not math.isfinite(rdf):
         raise DomainError(f"RDF is not finite: {rdf:g}")
     return rdf

@@ -33,7 +33,10 @@ def resistive_drag_factor(p: Planform) -> float:
         for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
             if a < b:
                 panels.append(_gauss3(f, a, b))
-    rdf = math.fsum(panels)
+    try:
+        rdf = math.fsum(panels)
+    except OverflowError:  # finite panels whose sum is not
+        rdf = math.inf
     if not math.isfinite(rdf):
         raise DomainError(f"RDF is not finite: {rdf:g}")
     return rdf

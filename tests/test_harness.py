@@ -7,6 +7,8 @@ import platform
 import subprocess
 import sys
 import tempfile
+import time
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from milliswim import harness
+from milliswim import csvlog, harness
 from milliswim.actuator import Mode, default_excursion_table, mode_of
 from milliswim.control import ControlConfig, ControllerState, ReferencePath
+from milliswim.csvlog import LOG_BLOCK
 from milliswim.errors import CalibrationRangeError
 from milliswim.harness import (
     CLI_KINDS,
@@ -257,6 +260,116 @@ class TestPinnedTracking:
         res = run_tracking(ExperimentConfig(output_dir=tmp_path, **ABORT_CASE))
         assert [r.failed for r in res] == [True, False]
         assert {name: sha256(tmp_path / name) for name in ABORT_CASE_SHA256} == ABORT_CASE_SHA256
+
+
+class InProcessWriter:
+    """harness.LogWriter as the in-process write_csv after the loop, which the
+    child interpreter replaced: the reference for the log's bytes."""
+
+    def __init__(self, path, header, row_format, cols):
+        self.args = path, header, row_format, cols
+
+    def __enter__(self):
+        return self
+
+    def send(self):
+        pass
+
+    def __exit__(self, exc_type, exc, tb):
+        assert exc_type is None
+        path, header, row_format, cols = self.args
+        csvlog.write_csv(path, header, row_format, zip(*cols))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestLogWriter:
+    """The trajectory log formatted by a child interpreter fed raw blocks."""
+
+    @pytest.mark.parametrize("ticks", [LOG_BLOCK - 1, LOG_BLOCK, LOG_BLOCK + 1, 2 * LOG_BLOCK])
+    @pytest.mark.parametrize("noise_sigma, repeats", [(0.0, 1), (1e-4, 1), (1e-4, 3)],
+                             ids=["noiseless", "noisy", "noisy-repeats-3"])
+    def test_log_bytes_equal_an_in_process_write(self, tmp_path, monkeypatch, ticks,
+                                                 noise_sigma, repeats):
+        cfg = ExperimentConfig(kind="track_left", duration=ticks / 250.0, seed=3,
+                               noise_sigma=noise_sigma, repeats=repeats)
+        res = run_tracking(replace(cfg, output_dir=tmp_path / "child"))
+        assert_no_child_left()
+        monkeypatch.setattr(harness, "LogWriter", InProcessWriter)
+        run_tracking(replace(cfg, output_dir=tmp_path / "in-process"))
+        assert [len(read_rows(r.log_path)) for r in res] == [ticks] * repeats
+        assert tree_digests(tmp_path / "child") == tree_digests(tmp_path / "in-process")
+
+    @pytest.mark.parametrize("sends", [[], [10], [LOG_BLOCK + 3, 2 * LOG_BLOCK, 3 * LOG_BLOCK]],
+                             ids=["close-only", "partial-block", "mid-block-and-at-edges"])
+    def test_any_send_pattern_writes_the_same_bytes(self, tmp_path, sends):
+        # send passes only full blocks, whatever the row count, and close the rest
+        rng = np.random.default_rng(0)
+        specials = [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, 1e16]
+        cols = [array("d", rng.standard_normal(3 * LOG_BLOCK + 5).tolist() + specials)
+                for _ in range(3)]
+        grown = [array("d") for _ in cols]
+        with csvlog.LogWriter(tmp_path / "child.csv", "a,b,c", "%.9g,%.9g,%.9g", grown) as w:
+            for n in sends + [len(cols[0])]:
+                for g, c in zip(grown, cols):
+                    g.extend(c[len(g):n])
+                w.send()
+        assert_no_child_left()
+        csvlog.write_csv(tmp_path / "ref.csv", "a,b,c", "%.9g,%.9g,%.9g", zip(*cols))
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_log_path_a_directory_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "trajectory_1.csv").mkdir(parents=True)
+        with pytest.raises(OSError) as expected:
+            open(out / "trajectory_1.csv", "w")
+        assert cli_main(["--out", str(out), "track", "line", "--duration", "5"]) == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert sorted(os.listdir(out)) == ["trajectory_1.csv"]
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_log_device_full_exit_2(self, tmp_path, capsys):
+        # the child fails at its first flush; the parent still sends two blocks
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "trajectory_1.csv").symlink_to("/dev/full")
+        assert cli_main(["--out", str(out), "track", "line", "--duration", "10"]) == 2
+        assert capsys.readouterr().err == "runtime error: [Errno 28] No space left on device\n"
+        assert_no_child_left()
+
+    def test_child_killed_exit_2(self, tmp_path, capsys, monkeypatch):
+        class KilledWriter(csvlog.LogWriter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.proc.kill()
+
+        monkeypatch.setattr(harness, "LogWriter", KilledWriter)
+        assert cli_main(["--out", str(tmp_path), "track", "line", "--duration", "5"]) == 2
+        assert capsys.readouterr().err == "runtime error: log writer exited with -9: \n"
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("calls, made", [(10, False), (LOG_BLOCK + 10, True)],
+                             ids=["early", "after-the-child-made-the-log"])
+    def test_loop_raising_leaves_no_log(self, tmp_path, monkeypatch, calls, made):
+        def failing(*args, n=iter(range(calls))):
+            if next(n, None) is None:
+                deadline = time.monotonic() + 60
+                while made and not (tmp_path / "trajectory_1.csv").exists():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                raise RuntimeError("rates failed")
+            return rates(*args)
+
+        monkeypatch.setattr(harness, "rates", failing)
+        cfg = ExperimentConfig(kind="track_right", duration=10.0, output_dir=tmp_path)
+        with pytest.raises(RuntimeError, match="^rates failed$"):
+            run_tracking(cfg)
+        assert os.listdir(tmp_path) == []
+        assert_no_child_left()
 
 
 def object_api_run(cfg, path):
@@ -532,6 +645,23 @@ class TestCli:
             {"kind": "rectangle", "height_mm": 10.0, "l1_mm": 5.0, "l2_mm": 5.0}))
         assert cli_main(["rdf", "--head", str(bad), "--tail", str(ok)]) == 1
         assert "duplicate knot" in capsys.readouterr().err
+
+    def test_rdf_overflowing_sum_exit_1(self, tmp_path, capsys):
+        # every panel is finite, their sum is not
+        big, rect = tmp_path / "big.json", tmp_path / "rect.json"
+        big.write_text(json.dumps(
+            {"kind": "tabulated", "points": [[-100 + 2 * i, 5e300] for i in range(101)],
+             "l1_mm": 100.0, "l2_mm": 100.0}))
+        rect.write_text(json.dumps(RDF_TAIL))
+        assert cli_main(["rdf", "--head", str(big), "--tail", str(rect)]) == 1
+        assert capsys.readouterr().err == "error: RDF is not finite: inf\n"
+
+    @pytest.mark.parametrize("given", [["--head"], ["--tail"], ["--head", "--tail"]],
+                             ids="-".join)
+    def test_rdf_design_with_planforms_exit_1(self, tmp_path, capsys, given):
+        argv = [a for flag in given for a in (flag, str(tmp_path / "missing.json"))]
+        assert cli_main(["rdf", "--design", "new", *argv]) == 1
+        assert capsys.readouterr() == ("", "rdf: --design takes no --head or --tail\n")
 
     def test_rdf_missing_planform_key_exit_1(self, tmp_path, capsys):
         p = tmp_path / "p.json"

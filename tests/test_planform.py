@@ -302,7 +302,9 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("p", [
         Planform.rectangle(1e305, 25.0, 25.0), Planform.parabola(1e305, 25.0, 25.0),
-    ], ids=["rectangle", "parabola"])
+        # 100 panels, each finite, whose sum overflows inside math.fsum
+        Planform.tabulated([(-100.0 + 2 * i, 5e300) for i in range(101)], 100.0, 100.0),
+    ], ids=["rectangle", "parabola", "overflowing-sum"])
     def test_overflowing_chord_raises_alike(self, p):
         # a height of 1e300 over 25 mm still has a finite RDF (about 2e305 mm^5)
         for fn in (resistive_drag_factor, planform_reference.resistive_drag_factor):
