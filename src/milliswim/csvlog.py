@@ -24,7 +24,9 @@ class LogWriter:
     while it is open, in a child interpreter: send passes it their full blocks
     of LOG_BLOCK rows, a clean exit the rest. The child is the same interpreter
     binary and gets the exact doubles, so the bytes are an in-process
-    write_csv's. If the block raises, the child is killed and the CSV removed."""
+    write_csv's. A child that fails is reaped and its error raised at the next
+    send, leaving what it wrote; if the block raises otherwise, the child is
+    killed and the CSV removed."""
 
     def __init__(self, path, header: str, row_format: str, cols):
         import subprocess  # here, so that importing milliswim does not load it
@@ -46,11 +48,14 @@ class LogWriter:
             try:
                 self.proc.stdin.write(
                     b"".join([c[lo:min(lo + LOG_BLOCK, stop)] for c in self.cols]))
-            except BrokenPipeError:  # the child has failed; __exit__ reports why
-                pass
+            except BrokenPipeError:  # the child has failed: raise its error now
+                self._wait()
+                raise
         self.sent = stop
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        if self.proc.returncode is not None:  # send reaped the child and raised its error
+            return
         if exc_type is not None:
             self.proc.kill()
             self.proc.communicate()
@@ -60,7 +65,11 @@ class LogWriter:
                 pass
             return
         self.send(last=True)
-        err = self.proc.communicate()[1]  # closes stdin, waits for the child
+        self._wait()
+
+    def _wait(self) -> None:
+        """Close the child's stdin, wait for it, and raise its error, if any."""
+        err = self.proc.communicate()[1]
         if self.proc.returncode == OSERROR_EXIT:  # the same OSError as in-process
             errno, *text = map(os.fsdecode, err.split(b"\0"))
             raise OSError(int(errno), *text)

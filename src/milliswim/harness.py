@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, csvlog
 from .actuator import (
     ExcitationCommand,
     Mode,
@@ -35,7 +35,6 @@ from .actuator import (
 )
 from .control import ControlConfig, ControllerState, ReferencePath, controller
 from .csvlog import LOG_BLOCK, LogWriter
-from .csvlog import write_csv as _write_csv
 from .errors import CalibrationRangeError
 from .hydro import MIN_DEFAULT_INERTIA_STEPS, FluidEnv, PlateMotion, simulate_cycle
 from .metrics import (
@@ -198,31 +197,56 @@ def _environment() -> dict:
                 machine=platform.machine())
 
 
-def _run_dir(cfg: ExperimentConfig) -> Path:
-    """Make the run's output directory. Runners call this after their config
-    checks and before any compute or write, so the OS refusing the directory
-    (a parent that is a regular file, no permission) is an input error."""
-    try:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ValueError(f"output directory: {e}") from None
-    return cfg.output_dir
+class _RunDir:
+    """A run's output directory and its one writer, made after the runner's config
+    checks and before any compute. In a reused directory, the old manifest goes
+    first, with the files it lists that are bare names of regular files. Every
+    output path comes from path, and the manifest that close writes lists those."""
 
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg, self.dir, self.files = cfg, cfg.output_dir, []
+        try:
+            try:
+                self.dir.mkdir(parents=True)
+            except FileExistsError:
+                if not self.dir.is_dir():
+                    raise
+                self._remove_previous()
+        except OSError as e:
+            raise ValueError(f"output directory: {e}") from None
 
-def _write_manifest(out_dir: Path, cfg: ExperimentConfig, files: list[str], summary: dict,
-                    counters: dict | None = None):
-    """Write config snapshot and manifest; the manifest lands last (atomic-ish)."""
-    snap = out_dir / "config.snapshot.json"
-    snap.write_text(json.dumps(cfg.snapshot(), indent=2, sort_keys=True) + "\n")
-    manifest = dict(
-        version=__version__, kind=cfg.kind, seed=cfg.seed,
-        files=sorted(files + ["config.snapshot.json"]), summary=summary, **_environment(),
-    )
-    if counters is not None:
-        manifest["counters"] = counters
-    tmp = out_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    tmp.replace(out_dir / "manifest.json")
+    def _remove_previous(self) -> None:
+        manifest = self.dir / "manifest.json"
+        try:
+            files = json.loads(manifest.read_text())["files"]
+        except (OSError, ValueError, TypeError, KeyError):  # none, or not a manifest
+            return
+        # the old manifest is outside input: only a bare name of a regular file,
+        # not a path, a symlink or a directory, is unlinked
+        for name in files if isinstance(files, list) else ():
+            path = self.dir / str(name)
+            if name != ".." and path.name == name and path.is_file() and not path.is_symlink():
+                path.unlink()
+        manifest.unlink()
+
+    def path(self, name: str) -> Path:
+        self.files.append(name)
+        return self.dir / name
+
+    def write_csv(self, name: str, header: str, row_format: str, rows) -> Path:
+        path = self.path(name)
+        csvlog.write_csv(path, header, row_format, rows)
+        return path
+
+    def close(self, summary: dict, **extra) -> None:
+        """Write the config snapshot, then the manifest (tmp file, then replace)."""
+        self.path("config.snapshot.json").write_text(
+            json.dumps(self.cfg.snapshot(), indent=2, sort_keys=True) + "\n")
+        manifest = dict(version=__version__, kind=self.cfg.kind, seed=self.cfg.seed,
+                        files=sorted(self.files), summary=summary, **_environment(), **extra)
+        tmp = self.dir / "manifest.json.tmp"
+        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        tmp.replace(self.dir / "manifest.json")
 
 
 # The shipped calibration, read once per process and shared by every run; its
@@ -240,18 +264,9 @@ def _nodes(table, max_dc: float = math.inf) -> list[tuple[int, float, int, float
             for j, dc in enumerate(table.dcs) if dc <= max_dc]
 
 
-def _write_sweep(cfg: ExperimentConfig, name: str, header: str, row_format: str,
-                 rows: list) -> Path:
-    """Write the sweep CSV and then the manifest into the run directory."""
-    path = cfg.output_dir / name
-    _write_csv(path, header, row_format, rows)
-    _write_manifest(cfg.output_dir, cfg, [name], {"rows": len(rows)})
-    return path
-
-
 def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
     """Excursion sweep over the excursion table's nodes; one row per (f, DC)."""
-    _run_dir(cfg)
+    run = _RunDir(cfg)
     cal, table = _calibration()
     rows = []
     for i, fr, j, dc in _nodes(table):
@@ -260,27 +275,32 @@ def run_excursion_sweep(cfg: ExperimentConfig) -> Path:
         st = strouhal(fr, app, cal.speed_map(fr, dc))
         rows.append((fr, dc, app, table.aux[i][j], p_mw, st, table.provenance[i][j]))
     header = "freq_hz,dc_pu,app_mm,esd_mm,p_mw,st,provenance"
-    return _write_sweep(cfg, "excursion_sweep.csv", header, "%.9g,%.2f,%.9g,%.9g,%.9g,%.9g,%s",
-                        rows)
+    path = run.write_csv("excursion_sweep.csv", header, "%.9g,%.2f,%.9g,%.9g,%.9g,%.9g,%s", rows)
+    run.close({"rows": len(rows)})
+    return path
 
 
 def run_speed_sweep(cfg: ExperimentConfig) -> Path:
-    _run_dir(cfg)
+    run = _RunDir(cfg)
     speed = _calibration()[0].speed_map
     rows = [(fr, dc, speed.values[i][j], speed.provenance[i][j])
             for i, fr, j, dc in _nodes(speed, SPEED_SWEEP_MAX_DC)]
-    return _write_sweep(cfg, "speed_sweep.csv", "freq_hz,dc_pu,v_mmps,provenance",
-                        "%.9g,%.2f,%.9g,%s", rows)
+    path = run.write_csv("speed_sweep.csv", "freq_hz,dc_pu,v_mmps,provenance",
+                         "%.9g,%.2f,%.9g,%s", rows)
+    run.close({"rows": len(rows)})
+    return path
 
 
 def run_turn_sweep(cfg: ExperimentConfig) -> Path:
-    _run_dir(cfg)
+    run = _RunDir(cfg)
     cal = _calibration()[0]
     rows = [(fr, dc, side, table.values[i][j], table.provenance[i][j])
             for side, table in (("left", cal.turn_map_left), ("right", cal.turn_map_right))
             for i, fr, j, dc in _nodes(table, TURN_SWEEP_MAX_DC)]
-    return _write_sweep(cfg, "turn_sweep.csv", "freq_hz,dc_pu,side,rate_degps,provenance",
-                        "%.9g,%.2f,%s,%.9g,%s", rows)
+    path = run.write_csv("turn_sweep.csv", "freq_hz,dc_pu,side,rate_degps,provenance",
+                         "%.9g,%.2f,%s,%.9g,%s", rows)
+    run.close({"rows": len(rows)})
+    return path
 
 
 # ---------------------------------------------------------------- tracking
@@ -419,32 +439,28 @@ def run_tracking(cfg: ExperimentConfig) -> list[TrackingResult]:
         raise ValueError(f"{cfg.kind!r} is not a tracking experiment")
     cal = _calibration()[0]
     cal_f = check_reachable_lookups(cfg.control, cal)
-    out = _run_dir(cfg)
+    run = _RunDir(cfg)
     rng = np.random.default_rng(cfg.seed)
     path_obj = TRACK_PATHS[cfg.kind]
-    results = [_run_one_tracking(cfg, path_obj, out / f"trajectory_{rep + 1}.csv", rng, cal_f)
+    results = [_run_one_tracking(cfg, path_obj, run.path(f"trajectory_{rep + 1}.csv"), rng, cal_f)
                for rep in range(cfg.repeats)]
     summary = {f"test_{i + 1}": r.stats for i, r in enumerate(results)}
-    (out / "stats.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(
-        out, cfg, [r.log_path.name for r in results] + ["stats.json"], summary,
-        counters={f"test_{i + 1}": r.counters for i, r in enumerate(results)},
-    )
+    run.path("stats.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    run.close(summary, counters={f"test_{i + 1}": r.counters for i, r in enumerate(results)})
     return results
 
 
 def run_constrained_cycle(cfg: ExperimentConfig) -> Path:
     """Head-fixed-frame cycle simulation with prescribed sinusoidal tail motion."""
-    out = _run_dir(cfg)
+    run = _RunDir(cfg)
     motion = PlateMotion.sinusoid(cfg.cycle_tail_amp, cfg.cycle_freq)
     rdfs = rdf_report_from_constants(cfg.cycle_i_head, cfg.cycle_i_tail)
     res = simulate_cycle(
         cfg.fluid, None, None, motion, rdfs=rdfs, n_steps=cfg.cycle_n_steps
     )
-    path = out / "cycle.csv"
     cols = (res.t, res.omega_h, res.omega_t, res.tau_rh, res.tau_rt, res.tau_b)
-    _write_csv(path, "t_s,omega_h,omega_t,tau_rh,tau_rt,tau_b", ",".join(["%.10g"] * 6),
-               zip(*(c.tolist() for c in cols)))
+    path = run.write_csv("cycle.csv", "t_s,omega_h,omega_t,tau_rh,tau_rt,tau_b",
+                         ",".join(["%.10g"] * 6), zip(*(c.tolist() for c in cols)))
     summary = {
         "mean_tau_rh": res.mean_tau_rh,
         "mean_tau_rt": res.mean_tau_rt,
@@ -453,7 +469,7 @@ def run_constrained_cycle(cfg: ExperimentConfig) -> Path:
         "speed_sq_ratio": res.mean_sq_omega_h / res.mean_sq_omega_t,
         "periods_to_converge": res.periods_to_converge,
     }
-    _write_manifest(out, cfg, [path.name], summary)
+    run.close(summary)
     return path
 
 

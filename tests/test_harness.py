@@ -333,12 +333,65 @@ class TestLogWriter:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_log_device_full_exit_2(self, tmp_path, capsys):
-        # the child fails at its first flush; the parent still sends two blocks
+        # the child fails at its first flush; the run raises its error at the next
+        # block send or at the final wait, and leaves what the child wrote through
         out = tmp_path / "run"
         out.mkdir()
         (out / "trajectory_1.csv").symlink_to("/dev/full")
         assert cli_main(["--out", str(out), "track", "line", "--duration", "10"]) == 2
         assert capsys.readouterr().err == "runtime error: [Errno 28] No space left on device\n"
+        assert (out / "trajectory_1.csv").is_symlink()
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+    @pytest.mark.parametrize("full", [False, True], ids=["log-a-directory", "device-full"])
+    def test_child_failure_stops_the_loop_at_the_next_send(self, tmp_path, capsys,
+                                                           monkeypatch, full):
+        if full and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+
+        class ExitedWriter(csvlog.LogWriter):
+            """Waits for the child to exit, leaving it unreaped: before the first
+            tick if it cannot open the log, after the first block if it can but
+            the device is full."""
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                if not full:
+                    self.wait_for_exit()
+
+            def send(self, last=False):
+                super().send(last)
+                if full and self.sent == LOG_BLOCK:
+                    self.wait_for_exit()
+
+            def wait_for_exit(self):
+                os.waitid(os.P_PID, self.proc.pid, os.WEXITED | os.WNOWAIT)
+
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return rates(*args)
+
+        monkeypatch.setattr(harness, "LogWriter", ExitedWriter)
+        monkeypatch.setattr(harness, "rates", counted)
+        out = tmp_path / "run"
+        out.mkdir()
+        if full:
+            (out / "trajectory_1.csv").symlink_to("/dev/full")
+            message = "runtime error: [Errno 28] No space left on device"
+        else:
+            (out / "trajectory_1.csv").mkdir()
+            with pytest.raises(OSError) as expected:
+                open(out / "trajectory_1.csv", "w")
+            message = f"error: {expected.value}"
+        rc = cli_main(["--out", str(out), "track", "line", "--duration", "60"])
+        assert (rc, capsys.readouterr().err) == (2 if full else 1, message + "\n")
+        assert len(calls) == (2 if full else 1) * LOG_BLOCK  # of 15 000 ticks
+        # what the child wrote through stays
+        log = out / "trajectory_1.csv"
+        assert os.listdir(out) == [log.name] and (log.is_symlink() if full else log.is_dir())
         assert_no_child_left()
 
     def test_child_killed_exit_2(self, tmp_path, capsys, monkeypatch):
@@ -370,6 +423,100 @@ class TestLogWriter:
             run_tracking(cfg)
         assert os.listdir(tmp_path) == []
         assert_no_child_left()
+
+
+def assert_manifest_lists_the_directory(out: Path):
+    listed = json.loads((out / "manifest.json").read_text())["files"]
+    regular = [p.name for p in out.iterdir() if p.is_file() and not p.is_symlink()]
+    assert sorted(regular) == sorted(listed + ["manifest.json"])
+
+
+# one short CLI run of each of the seven run kinds
+RUN_ARGV = {
+    "excursion": ["sweep", "excursion"],
+    "speed": ["sweep", "speed"],
+    "turn": ["sweep", "turn"],
+    "cycle": ["cycle"],
+    "line": ["track", "line", "--duration", "2"],
+    "left": ["track", "left", "--duration", "2", "--noise-sigma", "0.0001"],
+    "right": ["track", "right", "--duration", "2", "--repeats", "2"],
+}
+
+
+class TestRunDirectory:
+    """A run's directory holds exactly the files its manifest lists."""
+
+    @pytest.mark.parametrize("argv", list(RUN_ARGV.values()), ids=list(RUN_ARGV))
+    def test_manifest_lists_every_file(self, tmp_path, capsys, argv):
+        assert cli_main(["--out", str(tmp_path / "run"), *argv]) == 0
+        assert_manifest_lists_the_directory(tmp_path / "run")
+
+    @pytest.mark.parametrize("first, second", [
+        (["track", "line", "--duration", "2", "--repeats", "3"], RUN_ARGV["line"]),
+        (RUN_ARGV["cycle"], RUN_ARGV["line"]),
+        (RUN_ARGV["turn"], RUN_ARGV["cycle"]),
+    ], ids=["track-repeats-3-then-1", "cycle-then-track", "sweep-turn-then-cycle"])
+    def test_rerun_into_a_reused_directory(self, tmp_path, capsys, first, second):
+        out = tmp_path / "run"
+        for argv in (first, second):
+            assert cli_main(["--out", str(out), "--seed", "7", *argv]) == 0
+            assert_manifest_lists_the_directory(out)
+        assert cli_main(["--out", str(tmp_path / "fresh"), "--seed", "7", *second]) == 0
+        assert tree_digests(out) == tree_digests(tmp_path / "fresh")
+
+    def test_snapshot_replayed_into_its_own_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli_main(["--out", str(out), "--seed", "7", "track", "left", "--duration", "2",
+                         "--noise-sigma", "0.0001", "--repeats", "2"]) == 0
+        before = tree_digests(out)
+        assert cli_main(["--config", str(out / "config.snapshot.json"), "--out", str(out),
+                         "track", "left"]) == 0
+        assert tree_digests(out) == before
+        assert_manifest_lists_the_directory(out)
+
+    def test_cleanup_unlinks_only_bare_names_of_regular_files(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "sub").mkdir(parents=True)
+        kept = [tmp_path / "outside.csv", tmp_path / "target.csv", out / "sub" / "inner.csv",
+                out / "unlisted.csv"]
+        for f in kept + [out / "old.csv"]:
+            f.write_text("old\n")
+        (out / "link.csv").symlink_to(tmp_path / "target.csv")
+        (out / "manifest.json").write_text(json.dumps({"files": [
+            "../outside.csv", "sub", "sub/inner.csv", "link.csv", str(tmp_path / "target.csv"),
+            "old.csv", "", ".", "..", "a\0b", 7, None]}))
+        assert cli_main(["--out", str(out), "sweep", "speed"]) == 0
+        assert not (out / "old.csv").exists()
+        assert all(f.read_text() == "old\n" for f in kept)
+        assert (out / "link.csv").is_symlink() and (out / "sub").is_dir()
+        assert json.loads((out / "manifest.json").read_text())["files"] == [
+            "config.snapshot.json", "speed_sweep.csv"]
+
+    @pytest.mark.parametrize("text", [
+        "not json", '["kept.csv"]', '{"kind": "speed_sweep"}', '{"files": "kept.csv"}',
+        '{"files": {"kept.csv": 1}}'], ids=["not-json", "a-list", "no-files",
+                                            "files-a-string", "files-an-object"])
+    def test_cleanup_skips_a_manifest_it_cannot_read(self, tmp_path, capsys, text):
+        out = tmp_path / "run"
+        out.mkdir()
+        kept = [out / "kept.csv", out / "k"]  # "k": the string's first character
+        for f in kept:
+            f.write_text("old\n")
+        (out / "manifest.json").write_text(text)
+        assert cli_main(["--out", str(out), "sweep", "speed"]) == 0
+        assert all(f.read_text() == "old\n" for f in kept)
+        assert json.loads((out / "manifest.json").read_text())["kind"] == "speed_sweep"
+
+    def test_failure_mid_run_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert cli_main(["--out", str(out), "cycle"]) == 0
+
+        def full(path, *args):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(csvlog, "write_csv", full)
+        assert cli_main(["--out", str(out), "cycle"]) == 2
+        assert capsys.readouterr().err == "runtime error: [Errno 28] No space left on device\n"
+        assert os.listdir(out) == []
 
 
 def object_api_run(cfg, path):
@@ -700,7 +847,7 @@ class TestCli:
     def test_write_failure_mid_run_exit_2(self, tmp_path, capsys, monkeypatch):
         def full(path, *args):
             raise OSError(28, "No space left on device")
-        monkeypatch.setattr(harness, "_write_csv", full)
+        monkeypatch.setattr(csvlog, "write_csv", full)
         out = tmp_path / "run"
         assert cli_main(["--out", str(out), "cycle"]) == 2
         assert capsys.readouterr().err == "runtime error: [Errno 28] No space left on device\n"
@@ -911,7 +1058,7 @@ def test_write_csv_matches_csv_writer(spec, rows):
     header = ",".join(f"c{k}" for k in range(n))
     with tempfile.TemporaryDirectory() as d:
         got, ref = Path(d) / "got.csv", Path(d) / "ref.csv"
-        harness._write_csv(got, header, ",".join([f"%{spec}"] * n), map(tuple, rows))
+        csvlog.write_csv(got, header, ",".join([f"%{spec}"] * n), map(tuple, rows))
         with open(ref, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(header.split(","))
