@@ -5,7 +5,7 @@ the plate's rotation axis, in mm. The resistive drag factor (RDF) is the
 integral of h(x)*|x|^3 over the span (mm^5); it scales the quadratic-drag
 reactive torque acting on the plate. A planform is its chord's polynomial
 pieces, which the builders (rectangle, parabola, tabulated) set up, so its RDF
-is exact.
+has a closed form.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ NEW_DESIGN_RDF_HEAD = 1.14e5
 NEW_DESIGN_RDF_TAIL = 1.07e4
 OLD_DESIGN_RDF_HEAD = 1.88e4
 OLD_DESIGN_RDF_TAIL = 2.19e4
-
-# 3-point Gauss-Legendre node offset, as a share of the panel half-width.
-_GAUSS_NODE = math.sqrt(0.6)
 
 # The keys a planform JSON config holds besides "kind", per kind, in the order
 # of the arguments of the Planform builder of that name.
@@ -79,8 +76,9 @@ class Planform:
         With l1 > root the chord is 0 on [-l1, -root], outside the one piece.
         """
         h0, r = _height(height), float(root)
-        if not 0 < r < math.inf:
-            raise InvalidPlanformError(f"root must be finite and positive, got {r:g}")
+        if not (0 < r < math.inf and math.isfinite(h0 / r / r)):
+            raise InvalidPlanformError(
+                f"root must be finite and positive, with height/root^2 finite, got {r:g}")
         return Planform(l1, r, ((-min(float(l1), r), r, 0.0, h0, 0.0, -h0 / r / r),))
 
     @staticmethod
@@ -157,48 +155,44 @@ class RdfReport:
     i_tail: float
 
     def __post_init__(self):
-        if not (0 < self.i_head < math.inf and 0 < self.i_tail < math.inf):
-            raise InvalidPlanformError("RDFs must be finite and strictly positive")
+        for name, v in (("i_head", self.i_head), ("i_tail", self.i_tail)):
+            if not 0 < v < math.inf:
+                raise InvalidPlanformError(f"{name} must be finite and positive, got {v:g}")
 
     @property
     def ratio_head_over_tail(self) -> float:
         return self.i_head / self.i_tail
 
 
+def _side_rdf(a, w, h, s, c):
+    """Integral of (h + s*t + c*t^2) * (a + t)^3 over t in [0, w]: the RDF of a
+    piece on one side of the axis, in t = |x| - a from its end nearest the axis
+    (h, s: chord and outward slope there). Horner's rule in w: each term scales
+    as w^k, so nothing cancels with the distance a; a product holding a takes
+    it before h, s or c, so at a = 0 an overflowing chord gives inf, not nan."""
+    return w * (a * a * a * h + w * (a * a * (h + a * s / 3.0) * 1.5 + w * (
+        a * (h + a * (s + a * c / 3.0)) + w * (0.25 * h + 0.75 * a * (s + a * c) + w * (
+            0.2 * s + 0.6 * a * c + w * c / 6.0)))))
+
+
 def resistive_drag_factor(p: Planform) -> float:
     """RDF = integral of h(x)*|x|^3 dx over [-l1, l2], in mm^5.
 
-    The chord is polynomial pieces of degree <= 2, so on each piece, split at
-    the axis, the integrand is a polynomial of degree <= 5, which one 3-point
-    Gauss-Legendre panel integrates exactly. The nodes are interior, so neither
-    the axis nor a span end is evaluated, bar the midpoint of a panel only
-    subnormals wide. The rule and the chord are written inline: no call per
-    panel or node.
+    The chord is polynomial pieces of degree <= 2, so the RDF is the sum of one
+    closed form (_side_rdf) per piece and side of the axis, within a few ulps of
+    the exact integral of the pieces. A planform whose RDF overflows raises
+    DomainError.
     """
-    panels = []
+    rdf = 0.0
     for lo, hi, x0, h0, slope, curv in p.pieces:
-        for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
-            if a < b:
-                c, r = 0.5 * (a + b), 0.5 * (b - a)
-                u = c - x0
-                fc = (h0 + u * (slope + u * curv)) * abs(c) ** 3
-                # A panel narrower than sys.float_info.min (a few subnormals by
-                # the axis) gets one evaluation, at its midpoint c: its nodes
-                # c -+ d could round out of it, and out of the span. The
-                # integrand underflows to 0 there.
-                if r < 1.1125369292536007e-308:  # 0.5 * sys.float_info.min
-                    panels.append((b - a) * fc)
-                    continue
-                d = r * _GAUSS_NODE
-                u = c - d - x0
-                fa = (h0 + u * (slope + u * curv)) * abs(c - d) ** 3
-                u = c + d - x0
-                fb = (h0 + u * (slope + u * curv)) * abs(c + d) ** 3
-                panels.append(r * (5.0 * fa + 8.0 * fc + 5.0 * fb) / 9.0)
-    try:
-        rdf = math.fsum(panels)
-    except OverflowError:  # finite panels whose sum is not
-        rdf = math.inf
+        if hi > 0.0:  # x in [a, hi], a = max(lo, 0)
+            a = lo if lo > 0.0 else 0.0
+            u = a - x0
+            rdf += _side_rdf(a, hi - a, h0 + u * (slope + u * curv), slope + 2.0 * u * curv, curv)
+        if lo < 0.0:  # x in [lo, b], b = min(hi, 0), where |x| grows as x falls
+            b = hi if hi < 0.0 else 0.0
+            u = b - x0
+            rdf += _side_rdf(-b, b - lo, h0 + u * (slope + u * curv), -slope - 2.0 * u * curv, curv)
     if not math.isfinite(rdf):
         raise DomainError(f"RDF is not finite: {rdf:g}")
     return rdf

@@ -1,11 +1,40 @@
-"""The resistive drag factor with its Gauss-Legendre panel rule as a function
-taking the integrand, and the chord as a closure built per piece: the reference
-that planform.resistive_drag_factor must reproduce bit for bit."""
+"""Two reference rules for the resistive drag factor, which
+planform.resistive_drag_factor must agree with (TestMatchesReference):
+
+- exact_rdf, the integral of a planform's pieces in rationals, with no rounding;
+- resistive_drag_factor, the 3-point Gauss-Legendre panel rule the package
+  used before its closed form, with the rule as a function taking the
+  integrand and the chord as a closure built per piece. It is exact in exact
+  arithmetic for the degree-5 integrand of a piece, so it is a second,
+  independently rounded rule."""
 
 import math
+from fractions import Fraction
 
 from milliswim.errors import DomainError
-from milliswim.planform import _GAUSS_NODE, Planform
+from milliswim.planform import Planform
+
+# 3-point Gauss-Legendre node offset, as a share of the panel half-width.
+_GAUSS_NODE = math.sqrt(0.6)
+
+
+def exact_rdf(p: Planform) -> Fraction:
+    """The integral of h(x)*|x|^3 over the span, each piece
+    (lo, hi, x0, h0, slope, curv) of p split at the axis, in Fractions."""
+    total = Fraction(0)
+    for lo, hi, x0, h0, slope, curv in p.pieces:
+        lo, hi, x0, h0, slope, curv = map(Fraction, (lo, hi, x0, h0, slope, curv))
+        # h(x) = c0 + c1*x + c2*x^2 about the axis, and F' = h(x)*x^3
+        c0, c1, c2 = h0 - x0 * (slope - x0 * curv), slope - 2 * x0 * curv, curv
+
+        def prim(x):
+            return x**4 * (c0 / 4 + x * (c1 / 5 + x * c2 / 6))
+
+        if lo < 0:  # |x|^3 = -x^3
+            total -= prim(min(hi, Fraction(0))) - prim(lo)
+        if hi > 0:
+            total += prim(hi) - prim(max(lo, Fraction(0)))
+    return total
 
 
 def _gauss3(f, a, b):
@@ -21,9 +50,9 @@ def _gauss3(f, a, b):
 
 
 def resistive_drag_factor(p: Planform) -> float:
-    """planform.resistive_drag_factor with one _gauss3 call, and four Python
-    calls, per panel. Looks _gauss3 up in this module at call time, so a test
-    may patch it to count integrand evaluations."""
+    """The RDF by one _gauss3 panel per piece and side of the axis, summed with
+    math.fsum. Looks _gauss3 up in this module at call time, so a test may
+    patch it to count integrand evaluations."""
     panels = []
     for lo, hi, x0, h0, slope, curv in p.pieces:
         def f(x):

@@ -35,10 +35,13 @@ from milliswim.harness import (
     run_turn_sweep,
 )
 from milliswim.hydro import MIN_DEFAULT_INERTIA_STEPS, FluidEnv
+from milliswim.metrics import format_table
+from milliswim.planform import Planform
 from milliswim.plant import PlantCalibration, SwimmerState, observe, rates, step
 from milliswim.tables import BilinearTable
 
 from control_reference import tick
+from planform_reference import exact_rdf
 
 # sha256 of the sweep and cycle CSVs of `milliswim --seed 7 sweep ...|cycle`.
 PINNED_SHA256 = {
@@ -72,12 +75,17 @@ PINNED_TRACK_SHA256 = {
 
 # sha256 of the stdout of `milliswim rdf --design new|old`, and of
 # `milliswim rdf --head <RDF_PLANFORMS[k]> --tail <RDF_TAIL>` per planform kind k.
+# steep_knots jumps by 9.9 mm over 1 nm at x = 20 mm; its digest is that of the
+# text of the rational integral (test_rdf_steep_knots_is_the_rational_integral).
 RDF_PLANFORMS = {
     "rectangle": {"kind": "rectangle", "height_mm": 4.0, "l1_mm": 2.0, "l2_mm": 8.0},
     "parabola": {"kind": "parabola", "height_mm": 5.0, "root_mm": 10.0, "l1_mm": 3.0},
     "clipped_parabola": {"kind": "parabola", "height_mm": 5.0, "root_mm": 6.0, "l1_mm": 9.0},
     "tabulated": {"kind": "tabulated", "points": [[-3, 1], [0, 4], [5, 3.5], [12, 0.5]],
                   "l1_mm": 2.5, "l2_mm": 11.0},
+    "steep_knots": {"kind": "tabulated",
+                    "points": [[-1.0, 1.0], [19.999999, 0.1], [20.0, 10.0], [25.0, 10.0]],
+                    "l1_mm": 1.0, "l2_mm": 25.0},
 }
 RDF_TAIL = {"kind": "rectangle", "height_mm": 6.0, "l1_mm": 0.0, "l2_mm": 15.0}
 PINNED_RDF_SHA256 = {
@@ -87,6 +95,7 @@ PINNED_RDF_SHA256 = {
     "parabola": "52d71d8858b670b5c16814971174b653b424175a9c39f08dbf714f99363ca1c2",
     "clipped_parabola": "6ed1893e65a94babe76c3d11a7f95e74b25decf2c5c75d03691baea84f58a9cc",
     "tabulated": "732bfd04a90ebccbf1ad11f9e1ad2cfd68499015a93a67ddb81647e701acfc48",
+    "steep_knots": "75758a2c394d872a146a36f9496e62d29ffba8497f063ec3c166795b1b354e69",
 }
 
 # Two noisy right turns sharing one generator: the first aborts at tick 2849,
@@ -781,6 +790,30 @@ class TestCli:
         assert cli_main(["rdf", *argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_RDF_SHA256[case]
+
+    def test_rdf_steep_knots_is_the_rational_integral(self, tmp_path, capsys):
+        head, tail = tmp_path / "head.json", tmp_path / "tail.json"
+        head.write_text(json.dumps(RDF_PLANFORMS["steep_knots"]))
+        tail.write_text(json.dumps(RDF_TAIL))
+        i_head = exact_rdf(Planform.from_file(head))
+        i_tail = exact_rdf(Planform.from_file(tail))
+        assert cli_main(["rdf", "--head", str(head), "--tail", str(tail)]) == 0
+        assert capsys.readouterr().out == format_table(dict(
+            i_head_mm5=float(i_head), i_tail_mm5=float(i_tail),
+            ratio_head_over_tail=float(i_head / i_tail))) + "\n"
+
+    @pytest.mark.parametrize("bad, msg", [
+        ({"kind": "rectangle", "height_mm": 0.0, "l1_mm": 0.0, "l2_mm": 10.0},
+         "i_head must be finite and positive, got 0"),
+        ({"kind": "parabola", "height_mm": 1, "root_mm": 1e-320},
+         "root must be finite and positive, with height/root^2 finite, got 9.99989e-321"),
+    ], ids=["zero-height", "parabola-curvature-overflows"])
+    def test_rdf_bad_head_named_exit_1(self, tmp_path, capsys, bad, msg):
+        head, tail = tmp_path / "head.json", tmp_path / "tail.json"
+        head.write_text(json.dumps(bad))
+        tail.write_text(json.dumps(RDF_TAIL))
+        assert cli_main(["rdf", "--head", str(head), "--tail", str(tail)]) == 1
+        assert capsys.readouterr() == ("", f"error: {msg}\n")
 
     def test_rdf_bad_tabulated_knots_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
