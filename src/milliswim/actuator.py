@@ -30,9 +30,8 @@ class Mode(enum.Enum):
     __hash__ = object.__hash__
 
 
-# The members as module names, read by mode_of and plant.rates every control
-# tick: on Python 3.11 each Mode.X lookup runs EnumType's Python-level
-# __getattr__ hook.
+# The members as module names, read by plant.rates every control tick: on
+# Python 3.11 each Mode.X lookup runs EnumType's Python-level __getattr__ hook.
 BIMORPH, UNIMORPH_LEFT, UNIMORPH_RIGHT, MIXED, IDLE = Mode
 
 
@@ -50,19 +49,6 @@ class ExcitationCommand:
         for name, dc in (("dc_left", self.dc_left), ("dc_right", self.dc_right)):
             if not 0.0 <= dc <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {dc}")
-
-
-def mode_of(dc_left: float, dc_right: float) -> Mode:
-    """Drive mode of a pair of channel duty cycles."""
-    if dc_left == 0.0 and dc_right == 0.0:
-        return IDLE
-    if dc_left == dc_right:
-        return BIMORPH
-    if dc_right == 0.0:
-        return UNIMORPH_LEFT
-    if dc_left == 0.0:
-        return UNIMORPH_RIGHT
-    return MIXED
 
 
 def average_power(cmd: ExcitationCommand) -> float:

@@ -162,10 +162,12 @@ def simulate_cycle(
 
     RDFs are taken from `rdfs` when given (e.g. stored design constants),
     otherwise computed from the planform geometry. Fixed-step classic RK4 with
-    the tail rate amplitude * sin(2*pi*freq*t) evaluated at each stage time;
-    convergence is declared when the period map of omega_h contracts below
-    SETTLE_REL_TOL relative to the tail rate scale sqrt(<w_t^2>), and
-    ConvergenceError is raised if it has not within MAX_PERIODS periods.
+    the tail rate amplitude * sin(2*pi*freq*t) evaluated at each stage's phase
+    t within the period, so the drives are computed once per call. Convergence
+    is declared when the period map of omega_h contracts below SETTLE_REL_TOL
+    relative to the tail rate scale sqrt(<w_t^2>), and the period whose end met
+    it is the cycle returned; periods_to_converge counts the periods
+    integrated. ConvergenceError is raised if none has within MAX_PERIODS.
     """
     if n_steps < MIN_CYCLE_STEPS:
         raise ValueError(f"n_steps must be at least {MIN_CYCLE_STEPS} per period")
@@ -188,28 +190,25 @@ def simulate_cycle(
     amp = tail_motion.amplitude
     w_tail = 2.0 * math.pi * tail_motion.freq
     steps = np.arange(n_steps, dtype=float) * dt  # s * dt, the step offsets in a period
+    # the tail rate amp * sin(w_tail * t) at each step's start, midpoint and end
+    # phase, with libm's sin: numpy's own sin may dispatch to SIMD kernels whose
+    # rounding differs between CPUs
+    rates = [amp * np.fromiter(map(math.sin, (w_tail * t).tolist()), float, n_steps)
+             for t in (steps, steps + half_dt, steps + dt)]
+    w_t = rates[0]
+    # the tail drives w_t*|w_t|*i_t at those phases, the same in every period
+    drives = [(x * np.abs(x) * i_t).tolist() for x in rates]
 
-    def tail_rate(t):
-        # amp * sin(w_tail * t) per element, with libm's sin: numpy's own sin
-        # may dispatch to SIMD kernels whose rounding differs between CPUs
-        return amp * np.fromiter(map(math.sin, (w_tail * t).tolist()), float, n_steps)
-
-    def run_period(k, w, log=None):
-        """Advance the head rate w over period k by n_steps RK4 steps, passing
-        the rate at each step start to log if given; return the new rate, the
-        step times and the tail rate at them.
-
-        slope = half_rho_cd * (w_t*|w_t|*i_t - w*|w|*i_h) / yaw_inertia. The
-        tail drives w_t*|w_t|*i_t at the step start, midpoint (shared by k2 and
-        k3) and end are computed for the whole period before the loop.
-        """
-        t = k * period + steps
-        rate = tail_rate(t)
-        drives = [(x * np.abs(x) * i_t).tolist()
-                  for x in (rate, tail_rate(t + half_dt), tail_rate(t + dt))]
+    # slope = half_rho_cd * (w_t*|w_t|*i_t - w*|w|*i_h) / yaw_inertia; k2 and k3
+    # share the midpoint drive. Each period logs the head rate at its step starts.
+    scale = math.sqrt(mean_sq_t) or 1.0
+    w = 0.0
+    for k in range(MAX_PERIODS):
+        w_start = w
+        w_log = []
+        log = w_log.append
         for drive_a, drive_b, drive_c in zip(*drives):
-            if log is not None:
-                log(w)
+            log(w)
             k1 = half_rho_cd * (drive_a - w * abs(w) * i_h) / yaw_inertia
             w2 = w + half_dt * k1
             k2 = half_rho_cd * (drive_b - w2 * abs(w2) * i_h) / yaw_inertia
@@ -219,13 +218,6 @@ def simulate_cycle(
             k4 = half_rho_cd * (drive_c - w4 * abs(w4) * i_h) / yaw_inertia
             # 2.0, not 2: the same products, without an int-to-float conversion
             w = w + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        return w, t, rate
-
-    scale = math.sqrt(mean_sq_t) or 1.0
-    w = 0.0
-    for k in range(MAX_PERIODS):
-        w_start = w
-        w, _, _ = run_period(k, w)
         if abs(w - w_start) <= SETTLE_REL_TOL * scale:
             break
     else:
@@ -233,17 +225,11 @@ def simulate_cycle(
             f"head yaw did not reach a periodic steady state in {MAX_PERIODS} periods"
         )
 
-    converged_at = k + 1
-
-    # record one steady cycle
-    w_log = []
-    _, t, w_t = run_period(converged_at, w, w_log.append)
-    t_rec = t - converged_at * period
     w_h = np.array(w_log)
     tau_rh = half_rho_cd * w_h * np.abs(w_h) * i_h
     tau_rt = half_rho_cd * w_t * np.abs(w_t) * i_t
     return CycleResult(
-        t=t_rec, omega_h=w_h, omega_t=w_t,
+        t=steps, omega_h=w_h, omega_t=w_t,
         tau_rh=tau_rh, tau_rt=tau_rt, tau_b=tau_rt - tau_rh,
-        periods_to_converge=converged_at,
+        periods_to_converge=k + 1,
     )

@@ -114,7 +114,8 @@ def _turning_window(omega: np.ndarray) -> np.ndarray:
 
 def lateral_errors(path: ReferencePath, r1, r2) -> np.ndarray:
     """Per-sample lateral error of a logged trajectory, with the segment
-    switching of control.lateral_error replayed from the first sample.
+    switching of the control tick (control.controller) replayed from the
+    first sample.
 
     Segment s is active from the sample at which segment s - 1's waypoint is
     first crossed (inclusive) up to the first sample at which its own is.

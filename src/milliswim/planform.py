@@ -63,6 +63,21 @@ class Planform:
             raise InvalidPlanformError("l1 and l2 must be nonnegative")
         if self.l1 + self.l2 <= 0:
             raise InvalidPlanformError("span l1 + l2 must be positive")
+        for piece in self.pieces:
+            if not (isinstance(piece, tuple) and len(piece) == 6
+                    and all(_is_number(v) and math.isfinite(v) for v in piece)):
+                raise InvalidPlanformError(
+                    f"a chord piece is a tuple of six finite numbers, got {piece!r}")
+            lo, hi = piece[:2]
+            if not lo < hi:
+                raise InvalidPlanformError(f"chord piece [{lo:g}, {hi:g}] is empty")
+            if lo < -self.l1 or hi > self.l2:
+                raise InvalidPlanformError(f"chord piece [{lo:g}, {hi:g}] leaves the span "
+                                           f"[{-self.l1:g}, {self.l2:g}]")
+        spans = sorted(piece[:2] for piece in self.pieces)
+        for (_, hi), (lo, _) in zip(spans, spans[1:]):
+            if lo < hi:
+                raise InvalidPlanformError(f"chord pieces overlap on [{lo:g}, {hi:g}]")
 
     @staticmethod
     def rectangle(height: float, l1: float, l2: float) -> "Planform":

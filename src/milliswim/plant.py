@@ -115,11 +115,12 @@ def rates(cal: CalibrationSlice, dc_l: float, dc_r: float) -> tuple[Mode, float,
     """Drive mode and steady-state (v m/s, omega rad/s) of a duty-cycle pair,
     at the frequency cal was bound to (PlantCalibration.at).
 
-    The mode is actuator.mode_of's, its tests made here in the same order.
-    Bimorph: calibrated forward speed, zero yaw rate. Unimorph: calibrated
-    turn rate with forward speed omega * nominal radius. Mixed: speed from the
-    mean duty cycle, yaw rate scaled from the dominant channel's unimorph rate
-    by the duty-cycle asymmetry.
+    The mode is idle when both duty cycles are 0, else bimorph when they are
+    equal, else unimorph when one is 0, else mixed. Bimorph: calibrated forward
+    speed, zero yaw rate. Unimorph: calibrated turn rate with forward speed
+    omega * nominal radius. Mixed: speed from the mean duty cycle, yaw rate
+    scaled from the dominant channel's unimorph rate by the duty-cycle
+    asymmetry.
     """
     if dc_l == 0.0 and dc_r == 0.0:
         return IDLE, 0.0, 0.0

@@ -11,10 +11,9 @@ from milliswim.actuator import (
     Mode,
     average_power,
     default_excursion_table,
-    mode_of,
 )
 from milliswim.errors import CalibrationRangeError
-from milliswim.plant import PlantCalibration
+from milliswim.plant import PlantCalibration, rates
 from milliswim.tables import BilinearTable
 
 
@@ -45,7 +44,8 @@ class TestClassifyMode:
         ],
     )
     def test_modes(self, dcl, dcr, mode):
-        assert mode_of(dcl, dcr) is mode
+        # plant.rates holds the one drive-mode rule
+        assert rates(PlantCalibration.default().at(2.0), dcl, dcr)[0] is mode
 
     def test_module_names_are_the_members(self):
         assert [getattr(actuator, m.name) for m in Mode] == list(Mode)

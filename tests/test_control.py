@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from milliswim.actuator import Mode, mode_of
+from milliswim.actuator import Mode
 from milliswim.control import (
     INTEGRATOR_LIMIT,
     ControlConfig,
@@ -16,11 +16,17 @@ from milliswim.control import (
     controller,
 )
 from milliswim.harness import TRACK_PATHS
+from milliswim.plant import PlantCalibration, rates
 
 from control_reference import actuator_mapping, heading_step, lateral_error, lpc_step, tick
 
 CFG = ControlConfig()
 DT = 1.0 / CFG.loop_rate
+
+
+def drive_mode(cmd):
+    """The drive mode of an excitation command, as plant.rates classifies it."""
+    return rates(PlantCalibration.default().at(cmd.freq), cmd.dc_left, cmd.dc_right)[0]
 
 
 class TestLateralError:
@@ -154,7 +160,7 @@ class TestClosedLoopTick:
         path = ReferencePath.rectilinear()
         cmd = closed_loop_tick(CFG, path, ControllerState(), 0.1, 0.0, 0.0, DT)
         assert (cmd.dc_left, cmd.dc_right) == (0.11, 0.11)
-        assert mode_of(cmd.dc_left, cmd.dc_right) is Mode.BIMORPH
+        assert drive_mode(cmd) is Mode.BIMORPH
         assert cmd.freq == 3.0
 
     def test_left_offset_right_corrective(self):
@@ -173,7 +179,7 @@ class TestClosedLoopTick:
         path = ReferencePath.rectilinear()
         cmd = closed_loop_tick(CFG, path, ControllerState(), 0.1, 0.0, -math.pi / 2, DT)
         assert (cmd.dc_left, cmd.dc_right) == (0.22, 0.0)
-        assert mode_of(cmd.dc_left, cmd.dc_right) is Mode.UNIMORPH_LEFT
+        assert drive_mode(cmd) is Mode.UNIMORPH_LEFT
 
     def test_corner_demands_turn(self):
         # just past a left-turn corner, heading still along +n1: big left demand

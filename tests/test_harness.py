@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from milliswim import csvlog, harness
-from milliswim.actuator import Mode, default_excursion_table, mode_of
+from milliswim.actuator import Mode, default_excursion_table
 from milliswim.control import ControlConfig, ControllerState, ReferencePath
 from milliswim.csvlog import LOG_BLOCK
 from milliswim.errors import CalibrationRangeError
@@ -52,7 +52,7 @@ PINNED_SHA256 = {
     ("sweep", "turn"): ("turn_sweep.csv",
                         "4bf11769c23fce8ada128a277a6236b18dad01067d2dc374b60d952bb17a3cba"),
     ("cycle",): ("cycle.csv",
-                 "0380e24a7b1639fb99f11acf75e57618765da84c1f8cfbf5015b1b91a3d14bd2"),
+                 "55d4b823ad03a2da0464b18db0acc9126d9c245b93bef4582f4cc54a730f2920"),
 }
 
 
@@ -530,7 +530,7 @@ class TestRunDirectory:
 
 def object_api_run(cfg, path):
     """The tracking loop written with the object API (SwimmerState, step)
-    around observe, rates, mode_of and the decomposed reference tick, with
+    around observe, rates and the decomposed reference tick, with
     one rng.normal(size=3) call per noisy tick: the reference for the log rows
     and counters of run_tracking."""
     cal = PlantCalibration.default().at(cfg.control.freq)
@@ -544,11 +544,11 @@ def object_api_run(cfg, path):
         noise = rng.normal(0.0, cfg.noise_sigma, size=3).tolist() if cfg.noise_sigma else None
         pose = observe(state.r1, state.r2, state.psi, noise)
         u_l, u_r = tick(cfg.control, path, ctrl, *pose, dt)
-        _, v_cmd, w_cmd = rates(cal, u_l, u_r)
+        mode, v_cmd, w_cmd = rates(cal, u_l, u_r)
         rows.append((k * dt, state.r1, state.r2, state.psi, state.v, state.omega, u_l, u_r))
         for _ in range(4):
             state = step(state, v_cmd, w_cmd, dt / 4, response_time=cfg.response_time)
-        modes[mode_of(u_l, u_r).value] += 1
+        modes[mode.value] += 1
         sat["left"] += u_l >= cfg.control.u_max
         sat["right"] += u_r >= cfg.control.u_max
         if ctrl.active_segment != seg_before:

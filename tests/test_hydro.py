@@ -10,6 +10,8 @@ import cycle_reference
 from milliswim import hydro
 from milliswim.errors import ConvergenceError, DomainError
 from milliswim.hydro import (
+    MIN_DEFAULT_INERTIA_STEPS,
+    SETTLE_REL_TOL,
     FluidEnv,
     PlateMotion,
     balanced_head_amplitude,
@@ -230,9 +232,10 @@ def _outcome(fn, *args):
     rdfs=st.sampled_from([NEW_RDFS, OLD_RDFS]),
 )
 def test_cycle_matches_the_per_step_reference(amp, freq, n_steps, inertia_factor, rdfs):
-    """The once-per-period drive reproduces the per-step RK4 bit for bit. Under
-    about 150 steps per period the default inertia is RK4-unstable, and both
-    must then raise the same ConvergenceError."""
+    """The drive computed once per call, by phase, reproduces the per-step RK4
+    bit for bit, the returned period included. Under about 150 steps per period
+    the default inertia is RK4-unstable, and both must then raise the same
+    ConvergenceError."""
     env, m = FluidEnv(), PlateMotion(amp, freq)
     inertia = None if inertia_factor is None else (
         inertia_factor * default_yaw_inertia(env, rdfs, m.period, m.mean_square()))
@@ -278,14 +281,15 @@ def _pinned_cycle_cases():
 
 
 # sha256 over the six CycleResult arrays (.tobytes()) and periods_to_converge,
-# recorded before the RK4 step was rewritten: every array stays bit-identical.
+# recorded once the drive was evaluated by phase within the period and the
+# converging period became the cycle returned; cycle_reference reproduces them.
 PINNED_CYCLES = {
-    "seed3": (2, "6bcfca7e0c23444a7954429b88c71c3ddc1a19f7fe31bcd78e22881ba132bc46"),
-    "seed17": (2, "6c71424c49b401cf9f056147e7e7be5b5c3c8e4a1be390119d46ae1c437720e1"),
-    "seed42": (2, "f81c72e816878f7f0a886e7405e936ac8495b05219ddc84bb246fa12aaf5503b"),
-    "inertia": (4, "d26823c33808b48ba0085b4913504551218971f7e54ec3cc6f0566f097338ae7"),
-    "n100": (2, "33a029d1eed9050e9521e59a126a206766f489477593b3d443dc0b2db947c6a3"),
-    "excursion": (2, "486edeffe506ee1489ba64edc2c06500186642ba6a6996eb1b7cf02b7967649a"),
+    "seed3": (2, "8f16fa2e26d3d6d8aab574d9b8865c4f1f53c35d204907fc6e69f70f40d47c0d"),
+    "seed17": (2, "e5c9c176f7e7ddb54911c6c89433caf2540d6f50f957f04ab847a4b2b3b3b006"),
+    "seed42": (2, "e307dcaf3805843b0ef86ca8dd08bb67720e18867b88deae47ec04120cc7eaaa"),
+    "inertia": (4, "07ddd9f43570c497ede9fb064484af252b4b90a6bddf978aa26a16ebfd69d976"),
+    "n100": (2, "2531245606544b0ce0e3c367d70d88324ad3c04e736bc0821111113dd43bde69"),
+    "excursion": (2, "f91dc86b9748aa5091224587bb5679b29215022f0302033452d2f06a8160417f"),
 }
 
 
@@ -295,3 +299,42 @@ def test_cycle_arrays_pinned(name):
     res = simulate_cycle(FluidEnv(), None, None, motion, rdfs=NEW_RDFS, **kwargs)
     assert (res.periods_to_converge, _cycle_digest(res)) == PINNED_CYCLES[name]
 
+
+
+@pytest.mark.parametrize("name", ["seed3", "inertia"])
+def test_drive_is_computed_once_per_call(name, monkeypatch):
+    # three sin calls per step in all, however many periods it takes to converge
+    motion, kwargs = _pinned_cycle_cases()[name]
+    calls = []
+    sin = math.sin
+    monkeypatch.setattr(math, "sin", lambda x: calls.append(x) or sin(x))
+    res = simulate_cycle(FluidEnv(), None, None, motion, rdfs=NEW_RDFS, **kwargs)
+    assert (res.periods_to_converge, len(calls)) == (PINNED_CYCLES[name][0], 3 * 1000)
+
+
+@pytest.mark.parametrize("name", PINNED_CYCLES)
+def test_returned_period_is_the_converging_one(name):
+    """The reference's RK4 step, run over the returned period from its first
+    head rate, comes back to that rate within the convergence bound."""
+    motion, kwargs = _pinned_cycle_cases()[name]
+    res = simulate_cycle(FluidEnv(), None, None, motion, rdfs=NEW_RDFS, **kwargs)
+    rk4_step = cycle_reference.rk4_stepper(FluidEnv(), NEW_RDFS, motion,
+                                           kwargs.get("yaw_inertia"), res.t.size)
+    w = w0 = float(res.omega_h[0])
+    for t in res.t.tolist():
+        w = rk4_step(t, w)
+    assert abs(w - w0) <= SETTLE_REL_TOL * math.sqrt(motion.mean_square())
+
+
+@pytest.mark.parametrize("rdfs", [NEW_RDFS, OLD_RDFS], ids=["new", "old"])
+@pytest.mark.parametrize("amp,freq", [(1.0, 2.0), (-0.8, 1.7), (2.5, 4.0)])
+def test_default_inertia_stability_edge(rdfs, amp, freq):
+    """The edge MIN_DEFAULT_INERTIA_STEPS rests on: with the default yaw
+    inertia the cycle never settles at 145 steps per period, and settles in
+    2 periods at 146 and at the least steps a config may ask for."""
+    m = PlateMotion(amp, freq)
+    with pytest.raises(ConvergenceError):
+        simulate_cycle(FluidEnv(), None, None, m, n_steps=145, rdfs=rdfs)
+    for n_steps in (146, MIN_DEFAULT_INERTIA_STEPS):
+        res = simulate_cycle(FluidEnv(), None, None, m, n_steps=n_steps, rdfs=rdfs)
+        assert res.periods_to_converge == 2

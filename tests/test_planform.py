@@ -381,6 +381,43 @@ class TestPieces:
         with pytest.raises(InvalidPlanformError, match="height|root"):
             build(*args)
 
+    FLAT = (0.0, 1.0, 0.0, 0.0)  # x0, h0, slope, curv of a unit-height piece
+
+    @pytest.mark.parametrize("pieces, msg", [
+        (((-5.0, 3.0, *FLAT),), r"chord piece \[-5, 3\] leaves the span \[-1, 1\]"),
+        (((-1.0, 1.5, *FLAT),), r"chord piece \[-1, 1.5\] leaves the span"),
+        (((-1.0, 1.0, 0.0, math.nan, 0.0, 0.0),), "six finite numbers"),
+        (((-1.0, 1.0, 0.0, 1.0, math.inf, 0.0),), "six finite numbers"),
+        (((-1.0, math.nan, *FLAT),), "six finite numbers"),
+        (((-1.0, 1.0, 0.0, 1.0, 0.0),), "six finite numbers"),
+        (((-1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0),), "six finite numbers"),
+        (((-1.0, 1.0, 0.0, "1", 0.0, 0.0),), "six finite numbers"),
+        (((-1.0, 1.0, 0.0, True, 0.0, 0.0),), "six finite numbers"),
+        (((0.5, 0.5, *FLAT),), r"chord piece \[0.5, 0.5\] is empty"),
+        (((0.5, -0.5, *FLAT),), r"chord piece \[0.5, -0.5\] is empty"),
+        (((-1.0, 0.5, *FLAT), (0.0, 1.0, *FLAT)), r"chord pieces overlap on \[0, 0.5\]"),
+        (((0.5, 1.0, *FLAT), (-1.0, 0.0, *FLAT), (-0.5, 0.2, *FLAT)),
+         r"chord pieces overlap on \[-0.5, 0\]"),
+        (((-1.0, 1.0, *FLAT), (-0.5, 0.0, *FLAT), (0.2, 0.4, *FLAT)), "overlap"),
+    ], ids=["beyond-both-ends", "beyond-l2", "nan-height", "inf-slope", "nan-end", "five",
+            "seven", "text", "bool", "empty", "reversed", "overlap", "overlap-unsorted",
+            "overlap-nested"])
+    def test_bad_pieces_rejected(self, pieces, msg):
+        with pytest.raises(InvalidPlanformError, match=msg):
+            Planform(1.0, 1.0, pieces)
+
+    def test_touching_pieces_and_none_accepted(self):
+        # pieces may share an end, and the span outside every piece has h = 0
+        p = Planform(1.0, 1.0, ((0.0, 1.0, *self.FLAT), (-1.0, 0.0, *self.FLAT)))
+        assert resistive_drag_factor(p) == 0.5
+        assert Planform(1.0, 1.0, ()).pieces == ()
+
+    def test_no_negative_chord_rule(self):
+        # a parabola's piece may evaluate an ulp below 0 at its root, and builds
+        p = Planform.parabola(4.96, 23.74)
+        assert piece_chord(p, 23.74) < 0.0
+        assert Planform(p.l1, p.l2, p.pieces) == p
+
 
 class TestRdfReport:
     def test_new_design_constants(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from milliswim.actuator import mode_of
+from milliswim.actuator import BIMORPH, IDLE, MIXED, UNIMORPH_LEFT, UNIMORPH_RIGHT
 from milliswim.errors import CalibrationRangeError
 from milliswim.plant import (
     DEG,
@@ -22,6 +22,19 @@ from milliswim.plant import (
 )
 
 CAL = PlantCalibration.default()
+
+
+def mode_of(dc_left, dc_right):
+    """The drive mode of a duty-cycle pair, written apart from plant.rates."""
+    if dc_left == 0.0 and dc_right == 0.0:
+        return IDLE
+    if dc_left == dc_right:
+        return BIMORPH
+    if dc_right == 0.0:
+        return UNIMORPH_LEFT
+    if dc_left == 0.0:
+        return UNIMORPH_RIGHT
+    return MIXED
 
 
 class TestWrapAngle:
